@@ -243,21 +243,22 @@ impl Session {
     }
 
     /// [`absorb`](Session::absorb) plus seed-probe accounting: a seeded run
-    /// probed the cache once per generated candidate and was answered
-    /// [`flipper_core::RunStats::seeded_supports`] times.
+    /// probed the cache once per candidate the generator left unknown
+    /// (generated − [`flipper_core::RunStats::fused_supports`]) and was
+    /// answered [`flipper_core::RunStats::seeded_supports`] times.
     pub(crate) fn absorb_seeded(&self, result: &MiningResult) {
-        // A fully seeded run counted nothing: every k ≥ 2 support it could
-        // deposit came out of this cache, so re-inserting them is pure
-        // overhead — skip straight to the probe accounting.
-        let fully_seeded = result.stats.candidates_generated > 0
-            && result.stats.seeded_supports == result.stats.candidates_generated;
+        let s = &result.stats;
+        // A fully seeded run counted nothing: every support it probed for
+        // came out of this cache, and the rest came from vertical
+        // generation, which never consults the cache — so re-inserting is
+        // pure overhead. Skip straight to the probe accounting.
+        let fully_seeded = s.candidates_generated > 0
+            && s.seeded_supports + s.fused_supports == s.candidates_generated;
         if !fully_seeded {
             self.absorb(result);
         }
-        self.seeds_write().record_seed_round(
-            result.stats.candidates_generated,
-            result.stats.seeded_supports,
-        );
+        self.seeds_write()
+            .record_seed_round(s.candidates_generated - s.fused_supports, s.seeded_supports);
     }
 
     /// Deposit every `(level, itemset) → support` fact a completed run
@@ -417,6 +418,65 @@ mod tests {
         let plain_other = session.mine(&other).unwrap();
         assert_eq!(seeded_other.patterns, plain_other.patterns);
         assert_eq!(seeded_other.cells, plain_other.cells);
+    }
+
+    #[test]
+    fn seed_accounting_counts_probes_not_fused_supports() {
+        let (_, session) = planted_session();
+        let cfg = counts_cfg();
+        let cold = session.mine_seeded(&cfg).unwrap();
+        let c = cold.stats;
+        assert!(c.fused_supports > 0, "full pruning generates vertically");
+        assert!(
+            c.fused_supports < c.candidates_generated,
+            "row 1 is counted"
+        );
+        let after_cold = session.support_cache_stats();
+        assert_eq!(
+            after_cold.seed_lookups,
+            c.candidates_generated - c.fused_supports,
+            "only candidates the generator left unknown probe the cache"
+        );
+        assert_eq!(after_cold.seed_hits, 0);
+
+        // Same config again: every probed candidate hits, so the run is
+        // fully seeded even though its vertical supports never touched
+        // the cache.
+        let warm = session.mine_seeded(&cfg).unwrap();
+        let w = warm.stats;
+        assert_eq!(warm.cells, cold.cells);
+        assert_eq!(w.fused_supports, c.fused_supports);
+        assert_eq!(w.seeded_supports + w.fused_supports, w.candidates_generated);
+        let after_warm = session.support_cache_stats();
+        assert_eq!(
+            after_warm.seed_lookups - after_cold.seed_lookups,
+            w.candidates_generated - w.fused_supports
+        );
+        assert_eq!(after_warm.seed_hits, w.seeded_supports);
+
+        // A fully seeded result deposits nothing; a counted one does.
+        session.clear_support_cache();
+        session.absorb_seeded(&warm);
+        assert_eq!(session.support_cache_len(), 0, "fully seeded: no absorb");
+        session.absorb_seeded(&cold);
+        assert!(session.support_cache_len() > 0, "counted run is absorbed");
+    }
+
+    #[test]
+    fn clear_support_cache_resets_counters() {
+        let (_, session) = planted_session();
+        let cfg = counts_cfg();
+        session.mine_seeded(&cfg).unwrap();
+        let first = session.support_cache_stats();
+        session.mine_seeded(&cfg).unwrap();
+        assert!(session.support_cache_stats().seed_lookups > first.seed_lookups);
+        session.clear_support_cache();
+        assert_eq!(session.support_cache_len(), 0);
+        assert_eq!(session.support_cache_stats(), CacheStats::default());
+        // Counters restart from zero: a cold run after the clear reads
+        // exactly what the very first cold run read.
+        session.mine_seeded(&cfg).unwrap();
+        assert_eq!(session.support_cache_stats(), first);
     }
 
     #[test]

@@ -483,6 +483,10 @@ fn print_timings(capture: &flipper_obs::Capture, stats: &flipper_api::RunStats) 
         );
     }
     println!("run:     {}", stats.summary());
+    println!(
+        "gen:     covering_tids_scanned={} combinations_enumerated={} fused_supports={}",
+        stats.covering_tids_scanned, stats.combinations_enumerated, stats.fused_supports
+    );
     let c = &stats.counter;
     println!(
         "counter: db_scans={} subset_tests={} intersections={} counted={} prefix_reuses={}",

@@ -25,27 +25,44 @@
 //!      `Q(h,k−1)` (§4.2.2: supersets of chain-broken itemsets must still be
 //!      counted).
 //!
-//!   The union is a completeness fix over a literal reading of the paper:
-//!   a viable superset's sub-itemsets need not be viable themselves
-//!   (correlation is not monotone), so the horizontal join alone can miss
-//!   viable candidates whose subsets were never counted; the vertical
-//!   children-combination of the (always present) viable parent recovers
-//!   them. `DESIGN.md` discusses this.
+//!   The union is a completeness fix over a literal reading of the paper,
+//!   which extends rows `h ≥ 2` by the horizontal join alone. Correlation
+//!   is not monotone, so a viable `(h,k)`-itemset `S` — frequent,
+//!   correlated, with a chain-alive parent — can have `(k−1)`-subsets that
+//!   were never counted at level `h` (nothing forces a subset's own parent
+//!   to be chain-alive), and the join then never reaches `S`. The vertical
+//!   source always does: `S`'s parent is chain-alive in `Q(h−1,k)`, every
+//!   item of `S` is frequent (its support is at least `sup(S) ≥ θ`), and
+//!   `S` occurs in a transaction covering the parent, so the
+//!   children-combination enumeration produces it. The filters applied
+//!   afterwards are sound: SIBP bans (Theorem 2) and a `(k−1)`-subset
+//!   known to be infrequent (support is anti-monotone). Hence every
+//!   flipping pattern's level-`h` slice is a candidate of its cell.
+//! * Vertical candidates leave the generator **with their exact support**.
+//!   A level-`h` transaction that contains a children-combination also
+//!   contains its parent set one level up (the view is a projection), so
+//!   the covering transactions the generator walks include every
+//!   transaction containing the combination, and the number of them in
+//!   which the combination is enumerated *is* its level-`h` support.
 //! * With flipping pruning off (BASIC), every row is mined independently by
 //!   plain Apriori and flips are recovered post-hoc — the paper's baseline.
 //!
 //! # Execution
 //!
-//! Support counting goes through the cache-aware sharded execution layer
+//! Only candidates whose support the generator did not establish — row 1,
+//! horizontal-join candidates not produced vertically, and every BASIC
+//! candidate — reach support counting; vertical supports are charged to
+//! [`RunStats::fused_supports`]. The remainder goes through the
+//! cache-aware sharded execution layer
 //! ([`SupportCounter::count_batch_cached`]): with `cfg.threads != 1` each
-//! cell's candidate batch is chunked over scoped worker threads, and every
-//! worker slot owns a budgeted cross-cell prefix cache
+//! cell's batch is chunked over scoped worker threads, and every worker
+//! slot owns a budgeted cross-cell prefix cache
 //! ([`flipper_data::CellCache`], budget from `cfg.cache_budget`) so the
 //! `(k-1)`-prefixes materialized for one cell seed the next cell's
-//! counting. Seeded runs ([`mine_with_view_seeded`]) additionally answer
-//! candidates from a session-level [`SupportCache`] before counting.
-//! Results and statistics are bit-identical at every thread count, cache
-//! budget, and seed-cache state.
+//! counting. Seeded runs ([`mine_with_view_seeded`]) first answer those
+//! candidates from a session-level [`SupportCache`]. Results and
+//! statistics are bit-identical at every thread count, cache budget, and
+//! seed-cache state.
 
 use crate::cell::{Cell, ItemsetInfo};
 use crate::config::FlipperConfig;
@@ -115,8 +132,10 @@ pub fn mine_with_view_seeded_guarded(
 
 /// Mine with a prebuilt view *and* a session-level support seed cache.
 ///
-/// Every candidate found in `seeds` skips counting entirely and is charged
-/// to [`RunStats::seeded_supports`]; everything else is counted as usual.
+/// Vertical candidates never consult `seeds`: the generator already knows
+/// their supports ([`RunStats::fused_supports`]). Every other candidate
+/// found in `seeds` skips counting entirely and is charged to
+/// [`RunStats::seeded_supports`]; the rest are counted as usual.
 /// Supports are facts about the data alone — independent of measure,
 /// thresholds, pruning, engine, or thread count — so seeding from any
 /// completed run over the same view is sound and the mined patterns,
@@ -161,6 +180,106 @@ struct RowState {
 impl RowState {
     fn is_banned(&self, item: NodeId, k: usize) -> bool {
         self.banned.get(&item).is_some_and(|&ban_k| k > ban_k)
+    }
+}
+
+/// One cell's candidate batch ([`Miner::gen_candidates`]). Both halves are
+/// sorted ascending and duplicate-free, and no itemset is in both.
+struct Candidates {
+    /// Vertical candidates with the exact support the generator tallied.
+    fused: Vec<(Itemset, u64)>,
+    /// Candidates the seed cache or the counter must answer.
+    unknown: Vec<Itemset>,
+}
+
+/// Combination spaces of at most this many combinations are tallied in a
+/// flat array ([`ComboTally`]): 256 KiB of `u32` counters per cell.
+const DENSE_TALLY_CAP: usize = 1 << 16;
+
+/// Per-parent tally of the children-combinations [`Miner::gen_vertical`]
+/// enumerates. A combination is named by one position per parent slot
+/// into that slot's frequent-children list. When the parent's combination
+/// space `Π |children|` is at most [`DENSE_TALLY_CAP`], a tally is one
+/// increment in a flat array at the combination's mixed-radix number;
+/// wider spaces (only very flat taxonomies reach them) fall back to an
+/// ordered map keyed by the sorted items.
+#[derive(Default)]
+struct ComboTally {
+    /// Mixed-radix place value of each slot for the current parent; empty
+    /// when the current parent tallies into `sparse`.
+    strides: Vec<usize>,
+    /// Flat counters, all zero between parents; allocated on first use.
+    dense: Vec<u32>,
+    /// Indices of the non-zero `dense` counters.
+    touched: Vec<usize>,
+    /// Tallies of wide combination spaces, keyed by the sorted items.
+    sparse: BTreeMap<Vec<NodeId>, u64>,
+    /// Reused `sparse` probe key.
+    key: Vec<NodeId>,
+}
+
+impl ComboTally {
+    /// Prepare for a parent set whose slots have `children` frequent
+    /// children each (every list non-empty, at least two slots).
+    fn begin(&mut self, children: &[Vec<NodeId>]) {
+        self.strides.clear();
+        let space = children
+            .iter()
+            .try_fold(1usize, |acc, c| acc.checked_mul(c.len()));
+        if space.is_some_and(|n| n <= DENSE_TALLY_CAP) {
+            if self.dense.is_empty() {
+                self.dense = vec![0; DENSE_TALLY_CAP];
+            }
+            let mut place = 1;
+            for c in children.iter().rev() {
+                self.strides.push(place);
+                place *= c.len();
+            }
+            self.strides.reverse();
+        }
+    }
+
+    /// Count one occurrence of the combination taking child `pos[i]` of
+    /// slot `i`.
+    fn add(&mut self, children: &[Vec<NodeId>], pos: impl Iterator<Item = usize>) {
+        if self.strides.is_empty() {
+            self.key.clear();
+            self.key.extend(pos.zip(children).map(|(p, c)| c[p]));
+            self.key.sort_unstable();
+            match self.sparse.get_mut(self.key.as_slice()) {
+                Some(n) => *n += 1,
+                None => {
+                    self.sparse.insert(self.key.clone(), 1);
+                }
+            }
+        } else {
+            let at: usize = pos.zip(&self.strides).map(|(p, s)| p * s).sum();
+            if self.dense[at] == 0 {
+                self.touched.push(at);
+            }
+            self.dense[at] += 1;
+        }
+    }
+
+    /// Move the parent's combinations and their counts into `out`, leaving
+    /// the tally empty. Children of distinct parents are disjoint, so the
+    /// sorted items of a combination form a strictly increasing sequence.
+    fn drain_into(&mut self, children: &[Vec<NodeId>], out: &mut Vec<(Itemset, u64)>) {
+        for at in self.touched.drain(..) {
+            let mut items: Vec<NodeId> = children
+                .iter()
+                .zip(&self.strides)
+                .map(|(c, s)| c[at / s % c.len()])
+                .collect();
+            items.sort_unstable();
+            let n = std::mem::take(&mut self.dense[at]);
+            out.push((Itemset::from_sorted(items), u64::from(n)));
+        }
+        out.extend(
+            std::mem::take(&mut self.sparse)
+                .into_iter()
+                .map(|(items, n)| (Itemset::from_sorted(items), n)),
+        );
     }
 }
 
@@ -371,9 +490,10 @@ impl<'a> Miner<'a> {
         kept
     }
 
-    /// Vertical candidates for `Q(h,k)` (`k ≥ 2`): combinations of
-    /// level-`h` children of the chain-alive itemsets of `Q(h-1,k)`,
-    /// restricted to frequent level-`h` items.
+    /// Vertical candidates for `Q(h,k)` (`k ≥ 2`), each with its exact
+    /// level-`h` support: combinations of level-`h` children of the
+    /// chain-alive itemsets of `Q(h-1,k)`, restricted to frequent level-`h`
+    /// items.
     ///
     /// Generated through a tid index instead of a blind cartesian product
     /// of children lists: for each alive parent set, the parents'
@@ -384,7 +504,13 @@ impl<'a> Miner<'a> {
     /// frequent — skipping it changes no labels, no chains and no patterns,
     /// while the old cartesian product exploded exponentially in `k`
     /// (fanoutᵏ combos per parent, almost all with zero support).
-    fn gen_vertical(&mut self, h: usize, k: usize) -> Vec<Itemset> {
+    ///
+    /// Every transaction containing a combination covers its parent set,
+    /// and the odometer enumerates each combination at most once per
+    /// transaction, so the per-parent tally of enumerations is the
+    /// combination's support — the caller never recounts it.
+    fn gen_vertical(&mut self, h: usize, k: usize) -> Vec<(Itemset, u64)> {
+        const NO_SLOT: u32 = u32::MAX;
         let Some(above) = self.cell(h - 1, k) else {
             return Vec::new();
         };
@@ -392,22 +518,22 @@ impl<'a> Miner<'a> {
         let theta = self.thetas[h - 1];
         let lv_above = self.view.level(h - 1);
         let lv_here = self.view.level(h);
-        let mut out: Vec<Itemset> = Vec::new();
-        // Scratch: per parent-slot, the frequent children present in the
-        // current transaction; and the distinct combinations of the current
-        // parent (the same combination recurs in every transaction it
-        // occurs in, so deduping per parent bounds transient memory by the
-        // distinct-candidate count, not by Σ parent supports).
-        let mut slots: Vec<Vec<NodeId>> = vec![Vec::new(); k];
-        // Combos are accumulated as sorted item vectors (children of the
-        // distinct parents are disjoint, so sorting yields a strictly
-        // increasing, canonical sequence) and only converted to `Itemset`s
-        // once per *distinct* combination on drain.
-        let mut per_parent: BTreeSet<Vec<NodeId>> = BTreeSet::new();
-        // Reused for every emitted combination: the common case is the same
-        // combo recurring in each covering transaction, which now costs a
-        // buffer refill + hash probe instead of a fresh allocation.
-        let mut combo_items: Vec<NodeId> = Vec::with_capacity(k);
+        let mut out: Vec<(Itemset, u64)> = Vec::new();
+        // Node → (parent slot, position in that slot's frequent-children
+        // list) for the current parent set, so filling the slots costs one
+        // probe per transaction item. Set and reset per parent: every entry
+        // is `NO_SLOT` between parents.
+        let mut slot_of: Vec<(u32, u32)> = vec![(NO_SLOT, 0); self.tax.node_count()];
+        // Per parent slot, the positions of the frequent children present
+        // in the current transaction.
+        let mut slots: Vec<Vec<u32>> = vec![Vec::new(); k];
+        // The distinct combinations of the current parent with their
+        // occurrence counts. The same combination recurs in every
+        // transaction it occurs in, so tallying per parent bounds transient
+        // memory by the distinct-candidate count, not by Σ parent supports.
+        let mut tally = ComboTally::default();
+        let mut combo = vec![0usize; k];
+        let (mut tids_scanned, mut combos_enumerated) = (0u64, 0u64);
         for (pset, _) in above.alive() {
             // Per parent slot, the frequent children — computed once per
             // parent, not once per covering transaction.
@@ -426,36 +552,34 @@ impl<'a> Miner<'a> {
             if freq_children.iter().any(Vec::is_empty) {
                 continue;
             }
+            for (slot, children) in (0u32..).zip(&freq_children) {
+                for (pos, &c) in (0u32..).zip(children) {
+                    slot_of[c.index()] = (slot, pos);
+                }
+            }
+            tally.begin(&freq_children);
             let tid_lists: Vec<&[u32]> = pset.items().iter().map(|&p| lv_above.tidset(p)).collect();
             let tids = intersect_many(&tid_lists);
+            tids_scanned += tids.len() as u64;
             for &t in &tids {
-                let txn = lv_here.transaction(t as usize);
-                let mut ok = true;
-                for (slot, children) in slots.iter_mut().zip(&freq_children) {
-                    slot.clear();
-                    slot.extend(
-                        children
-                            .iter()
-                            .copied()
-                            .filter(|&c| txn.binary_search(&c).is_ok()),
-                    );
-                    if slot.is_empty() {
-                        ok = false;
-                        break;
+                slots.iter_mut().for_each(Vec::clear);
+                for &it in lv_here.transaction(t as usize) {
+                    let (slot, pos) = slot_of[it.index()];
+                    if slot != NO_SLOT {
+                        slots[slot as usize].push(pos);
                     }
                 }
-                if !ok {
+                if slots.iter().any(Vec::is_empty) {
                     continue;
                 }
                 // Odometer over the (typically singleton) slot lists.
-                let mut combo = vec![0usize; k];
+                combo.fill(0);
                 'outer: loop {
-                    combo_items.clear();
-                    combo_items.extend(combo.iter().enumerate().map(|(i, &c)| slots[i][c]));
-                    combo_items.sort_unstable();
-                    if !per_parent.contains(combo_items.as_slice()) {
-                        per_parent.insert(combo_items.clone());
-                    }
+                    combos_enumerated += 1;
+                    tally.add(
+                        &freq_children,
+                        combo.iter().zip(&slots).map(|(&c, s)| s[c] as usize),
+                    );
                     for i in (0..k).rev() {
                         combo[i] += 1;
                         if combo[i] < slots[i].len() {
@@ -468,19 +592,19 @@ impl<'a> Miner<'a> {
                     }
                 }
             }
+            for &c in freq_children.iter().flatten() {
+                slot_of[c.index()] = (NO_SLOT, 0);
+            }
             // Distinct parents yield distinct children-combinations, so
             // draining per parent loses no cross-parent dedup; `out` is
             // duplicate-free. The ban and prune passes below are
-            // order-independent, and the caller canonicalizes the final
-            // candidate union.
-            out.extend(
-                std::mem::take(&mut per_parent)
-                    .into_iter()
-                    .map(Itemset::from_sorted),
-            );
+            // order-independent, and the caller sorts the result.
+            tally.drain_into(&freq_children, &mut out);
         }
+        self.stats.covering_tids_scanned += tids_scanned;
+        self.stats.combinations_enumerated += combos_enumerated;
         let mut sibp_pruned = 0u64;
-        out.retain(|cand| {
+        out.retain(|(cand, _)| {
             let banned = cand.items().iter().any(|&it| row.is_banned(it, k));
             sibp_pruned += u64::from(banned);
             !banned
@@ -491,52 +615,60 @@ impl<'a> Miner<'a> {
         // subsets carry no information — they may simply never have been
         // candidates.)
         if let Some(prev) = self.cell(h, k - 1) {
-            let mut kept = Vec::with_capacity(out.len());
-            let mut pruned = 0u64;
-            for cand in out {
-                let doomed = cand
+            let before = out.len();
+            out.retain(|(cand, _)| {
+                !cand
                     .subsets_k_minus_1()
-                    .any(|s| prev.get(&s).is_some_and(|i| i.label == Label::Infrequent));
-                if doomed {
-                    pruned += 1;
-                } else {
-                    kept.push(cand);
-                }
-            }
-            self.stats.pruned_by_support += pruned;
-            kept
-        } else {
-            out
+                    .any(|s| prev.get(&s).is_some_and(|i| i.label == Label::Infrequent))
+            });
+            self.stats.pruned_by_support += (before - out.len()) as u64;
         }
+        out
     }
 
-    fn gen_candidates(&mut self, h: usize, k: usize) -> Vec<Itemset> {
-        let mut cands = if self.cfg.pruning.flipping && h >= 2 {
+    /// The candidate batch of `Q(h,k)`, split by where its supports come
+    /// from. Vertical candidates carry the support the generator counted;
+    /// a horizontal-join candidate that is also vertical keeps that known
+    /// support, and the rest are left to [`Self::count_supports`]. BASIC and
+    /// row 1 never generate vertically, so their `fused` half stays empty
+    /// and unallocated.
+    fn gen_candidates(&mut self, h: usize, k: usize) -> Candidates {
+        if self.cfg.pruning.flipping && h >= 2 {
             // Vertical from chain-alive parents (the only source at k = 2),
             // unioned with the horizontal Apriori join for wider cells.
-            let mut c = if k >= 3 {
+            let mut fused = self.gen_vertical(h, k);
+            fused.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+            let mut unknown = if k >= 3 {
                 self.gen_horizontal(h, k)
             } else {
                 Vec::new()
             };
-            c.extend(self.gen_vertical(h, k));
-            c
-        } else if k == 2 {
-            self.gen_pairs(h)
+            unknown.sort_unstable();
+            unknown.dedup();
+            unknown.retain(|set| fused.binary_search_by(|(f, _)| f.cmp(set)).is_err());
+            Candidates { fused, unknown }
         } else {
-            self.gen_horizontal(h, k)
-        };
-        cands.sort_unstable();
-        cands.dedup();
-        cands
+            let mut unknown = if k == 2 {
+                self.gen_pairs(h)
+            } else {
+                self.gen_horizontal(h, k)
+            };
+            unknown.sort_unstable();
+            unknown.dedup();
+            Candidates {
+                fused: Vec::new(),
+                unknown,
+            }
+        }
     }
 
     // ---- evaluation -------------------------------------------------------
 
-    /// Count supports for a sorted candidate batch: answer what the seed
-    /// cache already knows, count the rest through the cross-cell cached
-    /// path. Seeded supports are exact values from a completed run, so the
-    /// merged vector is identical to counting everything.
+    /// Count supports for the sorted batch of candidates the generator
+    /// left unknown: answer what the seed cache already knows, count the
+    /// rest through the cross-cell cached path. Seeded supports are exact
+    /// values from a completed run, so the merged vector is identical to
+    /// counting everything.
     fn count_supports(&mut self, h: usize, candidates: &[Itemset]) -> Vec<u64> {
         let _span = flipper_obs::span("mine.count")
             .arg("h", h as u64)
@@ -592,14 +724,15 @@ impl<'a> Miner<'a> {
         let _cell_span = flipper_obs::span("mine.cell")
             .arg("h", h as u64)
             .arg("k", k as u64);
-        let candidates = {
+        let Candidates { fused, unknown } = {
             let _gen_span = flipper_obs::span("mine.gen")
                 .arg("h", h as u64)
                 .arg("k", k as u64);
             self.gen_candidates(h, k)
         };
         self.stats.cells_evaluated += 1;
-        self.stats.candidates_generated += candidates.len() as u64;
+        self.stats.candidates_generated += (fused.len() + unknown.len()) as u64;
+        self.stats.fused_supports += fused.len() as u64;
 
         let theta = self.thetas[h - 1];
         let thresholds: Thresholds = self.cfg.thresholds;
@@ -607,7 +740,7 @@ impl<'a> Miner<'a> {
         // Snapshot cache counters around counting so the trace carries one
         // `cache.cell` event per cell with the hit/miss deltas it caused.
         let cache_before = flipper_obs::enabled().then(|| self.cache.stats());
-        let supports = self.count_supports(h, &candidates);
+        let counted = self.count_supports(h, &unknown);
         if let Some(before) = cache_before {
             let after = self.cache.stats();
             flipper_obs::event(
@@ -639,7 +772,16 @@ impl<'a> Miner<'a> {
         // allocations.
         let sup_cache = &self.rows[h - 1].sup_cache;
         let mut item_sups: Vec<u64> = Vec::new();
-        for (set, sup) in candidates.into_iter().zip(supports) {
+        // Merge the two sorted halves back into one ascending batch, so
+        // every `Cell::insert` below is an append.
+        let mut fused = fused.into_iter().peekable();
+        let mut counted = unknown.into_iter().zip(counted).peekable();
+        let batch = std::iter::from_fn(|| match (fused.peek(), counted.peek()) {
+            (Some((f, _)), Some((c, _))) if c < f => counted.next(),
+            (Some(_), _) => fused.next(),
+            (None, _) => counted.next(),
+        });
+        for (set, sup) in batch {
             let frequent = sup >= theta;
             let (corr, label) = if frequent {
                 item_sups.clear();
@@ -881,6 +1023,15 @@ impl<'a> Miner<'a> {
             flipper_obs::counter_add("flipper_candidates_generated_total", s.candidates_generated);
             flipper_obs::counter_add("flipper_frequent_found_total", s.frequent_found);
             flipper_obs::counter_add("flipper_seeded_supports_total", s.seeded_supports);
+            flipper_obs::counter_add("flipper_fused_supports_total", s.fused_supports);
+            flipper_obs::counter_add(
+                "flipper_gen_covering_tids_scanned_total",
+                s.covering_tids_scanned,
+            );
+            flipper_obs::counter_add(
+                "flipper_gen_combinations_enumerated_total",
+                s.combinations_enumerated,
+            );
             flipper_obs::counter_add("flipper_db_scans_total", s.counter.db_scans);
             flipper_obs::counter_add("flipper_subset_tests_total", s.counter.subset_tests);
             flipper_obs::counter_add("flipper_intersections_total", s.counter.intersections);

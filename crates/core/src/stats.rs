@@ -77,6 +77,21 @@ pub struct RunStats {
     /// how much counting they cost.
     #[cfg_attr(feature = "serde", serde(skip))]
     pub seeded_supports: u64,
+    /// Supports established by vertical candidate generation itself (the
+    /// tally of covering transactions each children-combination occurred
+    /// in), so neither the seed cache nor the counter saw them. Excluded
+    /// from serialized results like `seeded_supports`.
+    #[cfg_attr(feature = "serde", serde(skip))]
+    pub fused_supports: u64,
+    /// Transactions vertical generation walked: Σ over alive parent sets
+    /// of the parents' covering tid-list length.
+    #[cfg_attr(feature = "serde", serde(skip))]
+    pub covering_tids_scanned: u64,
+    /// Children-combinations vertical generation enumerated, one per
+    /// (covering transaction, combination present in it); repeats of one
+    /// combination included.
+    #[cfg_attr(feature = "serde", serde(skip))]
+    pub combinations_enumerated: u64,
     /// Counting-engine statistics.
     #[cfg_attr(feature = "serde", serde(skip))]
     pub counter: CounterStats,

@@ -489,10 +489,12 @@ impl SupportCache {
         }
     }
 
-    /// Drop every cached support.
+    /// Drop every cached support and reset the counters to zero (the byte
+    /// cap is kept).
     pub fn clear(&mut self) {
         self.map.clear();
         self.bytes = 0;
+        self.stats = CacheStats::default();
     }
 }
 
@@ -609,6 +611,27 @@ mod tests {
         assert!(sc.bytes() > 0);
         sc.clear();
         assert!(sc.is_empty());
+    }
+
+    #[test]
+    fn support_cache_clear_resets_counters_and_keeps_cap() {
+        let a = Itemset::single(NodeId::from_index(1));
+        let b = Itemset::single(NodeId::from_index(2));
+        let mut sc = SupportCache::with_cap(ENTRY_OVERHEAD + 1);
+        sc.insert(1, &a, 5);
+        sc.record_seed_round(7, 3);
+        assert_ne!(sc.stats(), CacheStats::default());
+        sc.clear();
+        assert!(sc.is_empty());
+        assert_eq!(
+            sc.stats(),
+            CacheStats::default(),
+            "clear zeroes every counter"
+        );
+        sc.insert(1, &b, 6);
+        sc.insert(1, &a, 5);
+        assert_eq!(sc.len(), 1, "the byte cap survives a clear");
+        assert_eq!(sc.stats().insertions, 1);
     }
 
     #[test]

@@ -135,6 +135,7 @@ where
     }
     let first = ranges.remove(0);
     let f = &f;
+    let fault_scope = flipper_guard::fault::current_scope();
     let results = std::thread::scope(|s| {
         let spawn_stamp = flipper_obs::stamp();
         let handles: Vec<_> = ranges
@@ -142,6 +143,7 @@ where
             .enumerate()
             .map(|(i, r)| {
                 s.spawn(move || {
+                    let _fault_scope = fault_scope.enter();
                     catch_unwind(AssertUnwindSafe(|| {
                         traced_chunk(i + 1, spawn_stamp, || f(r))
                     }))
@@ -278,6 +280,7 @@ where
             .collect();
     }
     let f = &f;
+    let fault_scope = flipper_guard::fault::current_scope();
     let results = std::thread::scope(|s| {
         let spawn_stamp = flipper_obs::stamp();
         let mut slots = ranges.into_iter().zip(states.iter_mut());
@@ -287,6 +290,7 @@ where
             .enumerate()
             .map(|(i, (r, st))| {
                 s.spawn(move || {
+                    let _fault_scope = fault_scope.enter();
                     catch_unwind(AssertUnwindSafe(|| {
                         traced_chunk(i + 1, spawn_stamp, || f(&items[r], st))
                     }))

@@ -5,7 +5,16 @@
 //! the corresponding data source at the paper's scale and taxonomy shape,
 //! and *plants* the qualitative flipping patterns the paper reports
 //! (Figs. 10–12) so that the reality-check experiments regenerate them.
-//! DESIGN.md documents the substitution.
+//!
+//! What the substitution keeps and what it gives up: each surrogate keeps
+//! the source's transaction count, taxonomy height and shape, and the
+//! Table-4 thresholds it was mined at, so runtime and memory experiments
+//! run at the paper's scale. The background baskets are seeded random
+//! draws, not the source's real co-occurrence structure. Only the planted
+//! flips (`SurrogateData::expected_flips`) stand for the paper's reported
+//! findings; any other pattern a surrogate yields is an artifact of the
+//! simulation and is never compared against the paper. Generation is fully
+//! deterministic per seed.
 //!
 //! Two planting primitives cover every reported pattern:
 //!

@@ -6,10 +6,15 @@
 //! long an injected stall spins) from the plan's seed via `flipper-rng` —
 //! so a failing fault-injection run reproduces from `(seed, plan)` alone.
 //!
-//! Plans are **armed process-globally** ([`arm`]): instrumented sites call
-//! [`injected`], which costs one relaxed atomic load while disarmed. The
-//! returned [`ArmedPlan`] guard disarms on drop and holds a global lock,
-//! so concurrent tests arming plans serialize instead of interfering.
+//! Plans are **armed for one fault scope** ([`arm`]): the arming thread
+//! plus every exec-pool worker it (transitively) spawns — the pool carries
+//! the scope into its workers ([`current_scope`], [`FaultScope::enter`]).
+//! Instrumented sites call [`injected`], which costs one relaxed atomic
+//! load while disarmed; while a plan is armed, visits from threads outside
+//! its scope neither count as hits nor fire, so an unrelated run on
+//! another thread cannot consume or trip the plan. The returned
+//! [`ArmedPlan`] guard disarms on drop and holds a global lock, so
+//! concurrent tests arming plans serialize instead of interfering.
 //!
 //! ## Site catalog
 //!
@@ -24,8 +29,9 @@
 //! not even the fault injector may make it.
 
 use flipper_rng::{Rng, Xoshiro256pp};
+use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// The FBIN section-read site (see the module-level catalog).
@@ -161,6 +167,9 @@ fn fnv1a(s: &str) -> u64 {
 
 struct PlanState {
     plan: FaultPlan,
+    /// The fault scope the plan was armed in; visits from other scopes
+    /// are ignored.
+    scope: u64,
     /// Visits per site since arming.
     hits: BTreeMap<String, u64>,
     /// Faults that actually fired: `(site, hit ordinal, kind name)`.
@@ -168,6 +177,46 @@ struct PlanState {
 }
 
 static ACTIVE: AtomicBool = AtomicBool::new(false);
+
+/// Source of fresh scope ids; 0 is the scope of threads no plan reaches.
+static NEXT_SCOPE: AtomicU64 = AtomicU64::new(1);
+
+thread_local! {
+    /// The fault scope of the current thread.
+    static SCOPE: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The fault scope of a thread: which armed plan, if any, its site visits
+/// answer to. Capture it with [`current_scope`] before handing work to
+/// another thread, and [`enter`](FaultScope::enter) it there.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FaultScope(u64);
+
+/// Guard returned by [`FaultScope::enter`]; restores the thread's previous
+/// scope on drop.
+pub struct ScopeGuard {
+    previous: u64,
+}
+
+impl FaultScope {
+    /// Make the current thread part of this scope until the guard drops.
+    pub fn enter(self) -> ScopeGuard {
+        ScopeGuard {
+            previous: SCOPE.with(|s| s.replace(self.0)),
+        }
+    }
+}
+
+impl Drop for ScopeGuard {
+    fn drop(&mut self) {
+        SCOPE.with(|s| s.set(self.previous));
+    }
+}
+
+/// The fault scope of the calling thread.
+pub fn current_scope() -> FaultScope {
+    FaultScope(SCOPE.with(Cell::get))
+}
 
 fn state() -> &'static Mutex<Option<PlanState>> {
     static STATE: OnceLock<Mutex<Option<PlanState>>> = OnceLock::new();
@@ -183,6 +232,8 @@ fn arm_lock() -> &'static Mutex<()> {
 /// Arming is exclusive — a second [`arm`] blocks until the first guard
 /// drops, so fault-injection tests serialize automatically.
 pub struct ArmedPlan {
+    /// The arming thread's scope before [`arm`], restored on drop.
+    _scope: ScopeGuard,
     _exclusive: MutexGuard<'static, ()>,
 }
 
@@ -205,17 +256,21 @@ impl Drop for ArmedPlan {
     }
 }
 
-/// Arm `plan` process-globally. Sites start reporting injected faults via
-/// [`injected`] until the returned guard drops.
+/// Arm `plan` in a fresh fault scope entered by the calling thread. Sites
+/// visited by this thread and the exec workers it spawns start reporting
+/// injected faults via [`injected`] until the returned guard drops.
 pub fn arm(plan: FaultPlan) -> ArmedPlan {
     let exclusive = arm_lock().lock().unwrap_or_else(PoisonError::into_inner);
+    let scope = FaultScope(NEXT_SCOPE.fetch_add(1, Ordering::Relaxed));
     *state().lock().unwrap_or_else(PoisonError::into_inner) = Some(PlanState {
         plan,
+        scope: scope.0,
         hits: BTreeMap::new(),
         fired: Vec::new(),
     });
     ACTIVE.store(true, Ordering::Relaxed);
     ArmedPlan {
+        _scope: scope.enter(),
         _exclusive: exclusive,
     }
 }
@@ -233,7 +288,7 @@ pub fn injected(site: &str) -> Option<Fault> {
 #[cold]
 fn injected_slow(site: &str) -> Option<Fault> {
     let mut guard = state().lock().unwrap_or_else(PoisonError::into_inner);
-    let st = guard.as_mut()?;
+    let st = guard.as_mut().filter(|st| st.scope == current_scope().0)?;
     let hit = st.hits.entry(site.to_string()).or_insert(0);
     *hit += 1;
     let ordinal = *hit;
@@ -315,6 +370,30 @@ mod tests {
             }
             other => panic!("expected Latency, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn plans_reach_only_their_own_scope() {
+        let armed = arm(FaultPlan::new(11).inject("s", 1, FaultKind::Io));
+        let scope = current_scope();
+        std::thread::scope(|t| {
+            // An unrelated thread neither consumes the hit nor fires.
+            t.spawn(|| assert_eq!(injected("s"), None)).join().unwrap();
+            // A thread handed the arming scope (as exec workers are) does.
+            t.spawn(move || {
+                let _in = scope.enter();
+                assert_eq!(injected("s"), Some(Fault::Io));
+            })
+            .join()
+            .unwrap();
+        });
+        assert_eq!(armed.fired(), vec![("s".to_string(), 1, "io")]);
+        drop(armed);
+        assert_eq!(
+            current_scope(),
+            FaultScope(0),
+            "disarming restores the scope"
+        );
     }
 
     #[test]

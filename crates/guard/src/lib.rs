@@ -16,8 +16,9 @@
 //!   so flipper-obs thread-local sheets always flush; `trap` then turns
 //!   the resumed panic into an error the session facade can surface.
 //! * [`fault`] — deterministic fault injection: a seeded [`FaultPlan`]
-//!   armed process-globally injects I/O errors, payload bit-flips,
-//!   truncations, worker panics and latency at named sites
+//!   armed for the arming thread and its exec-pool workers injects I/O
+//!   errors, payload bit-flips, truncations, worker panics and latency at
+//!   named sites
 //!   (`store.read.section`, `store.write.section`, `exec.chunk`). Every
 //!   failure path the release-gated `fault_injection` suite exercises is
 //!   reproducible from the plan's seed. Disarmed cost: one relaxed atomic

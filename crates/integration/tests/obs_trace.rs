@@ -126,6 +126,9 @@ fn traced_mine_emits_valid_covering_trace() {
     for metric in [
         "flipper_cells_evaluated_total",
         "flipper_candidates_counted_total",
+        "flipper_fused_supports_total",
+        "flipper_gen_covering_tids_scanned_total",
+        "flipper_gen_combinations_enumerated_total",
         "flipper_cache_lookups_total",
         "flipper_batch_candidates_count",
     ] {

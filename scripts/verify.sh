@@ -8,6 +8,9 @@
 #   * the prefix-group counting sweep (grouped kernels bit-identical to the
 #     naive per-candidate reference, counts and stats, at every thread
 #     count),
+#   * the fused-support ground truth (supports tallied by vertical
+#     generation equal the naive reference for every variant × engine ×
+#     threads, seeded or not, and counted + fused + seeded = generated),
 #   * the FBIN storage suite (text↔fbin round-trip idempotence, streamed-
 #     vs-loaded mining equivalence, truncation/corruption behavior),
 #   * the façade acceptance suite (Session/Sweep bit-identical to the
@@ -62,6 +65,9 @@ cargo test --release -q -p flipper-integration --test equivalence
 
 echo "== counting kernels: prefix-group equivalence sweep under --release"
 cargo test --release -q -p flipper-integration --test prefix_groups
+
+echo "== fused supports: generator-tallied supports vs naive counts under --release"
+cargo test --release -q -p flipper-integration --test fused_supports
 
 echo "== storage: fbin round-trip + streamed-vs-loaded equivalence under --release"
 cargo test --release -q -p flipper-integration --test store_roundtrip
