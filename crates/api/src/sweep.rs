@@ -411,7 +411,7 @@ mod tests {
             .pruning_variants(&base())
             .engine_threads(
                 &base(),
-                &[CountingEngine::Tidset, CountingEngine::Auto],
+                &[CountingEngine::Tidset, CountingEngine::Bitset],
                 &[1, 2],
             );
         // Grid: (0.5,0.1), (0.5,0.4), (0.3,0.1) — (0.3,0.4) is invalid and
@@ -423,7 +423,7 @@ mod tests {
         assert_eq!(labels[3], "basic");
         assert_eq!(labels[6], "flipping+tpg+sibp");
         assert_eq!(labels[7], "tidset/t1");
-        assert_eq!(labels[10], "auto/t2");
+        assert_eq!(labels[10], "bitset/t2");
     }
 
     #[test]

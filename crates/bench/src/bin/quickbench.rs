@@ -1,16 +1,15 @@
-//! Dependency-free fallback for `benches/paper_benches.rs`: times the same
-//! configurations with the `std::time::Instant` harness in
-//! [`flipper_bench::timing`] and prints fixed-width tables, plus the
+//! Times the paper's configurations with the `std::time::Instant` harness
+//! in [`flipper_bench::timing`] and prints fixed-width tables, plus the
 //! execution-layer grid (counting engine × worker threads), the
 //! counting-kernel rows (prefix-cached and cell-cached vs naive
 //! per-candidate) and the sweep-seeding rows (support-cache-seeded vs cold
 //! γ/ε grids).
 //!
-//! Scale with `--scale <f>` (default 0.2 so a full run stays interactive;
-//! 1.0 matches the criterion bench inputs) and sample count with
-//! `--samples <n>`. `--smoke` runs a few-second engine × threads grid on a
-//! tiny dataset — the CI hook `scripts/verify.sh` uses it so a perf
-//! regression in any engine fails loudly instead of silently. `--json
+//! Scale with `--scale <f>` (default 0.2 so a full run stays interactive)
+//! and sample count with `--samples <n>`. `--smoke` runs a few-second
+//! engine × threads grid on a tiny dataset — the CI hook
+//! `scripts/verify.sh` uses it so a perf regression in any engine fails
+//! loudly instead of silently. `--json
 //! <path>` additionally writes every timed grid/kernel/storage row as a
 //! `flipper-quickbench/v1` JSON report (see [`flipper_bench::report`]) —
 //! the machine-readable baseline future PRs regress against.
@@ -58,7 +57,6 @@ fn exec_layer_grid(n: usize, warmup: usize, samples: usize, report: &mut Vec<Ben
         ("tidset", CountingEngine::Tidset),
         ("bitset", CountingEngine::Bitset),
         ("scan", CountingEngine::Scan),
-        ("auto", CountingEngine::Auto),
     ];
     let thread_grid = [1usize, 2, 4];
     let mut rows: Vec<Timing> = Vec::new();
@@ -735,7 +733,6 @@ fn main() {
         ("tidset", CountingEngine::Tidset),
         ("scan", CountingEngine::Scan),
         ("bitset", CountingEngine::Bitset),
-        ("auto", CountingEngine::Auto),
     ] {
         let cfg = base.clone().with_engine(engine);
         rows.push(time_fn(format!("counting/{name}"), warmup, samples, || {

@@ -1,9 +1,7 @@
 //! Shared experiment harness for regenerating every table and figure of the
 //! paper's evaluation (§5). The `src/bin/*` targets print the tables; the
-//! Criterion benches in `benches/` (behind the off-by-default `criterion`
-//! feature) measure the same configurations under a statistics-grade timer,
-//! and the dependency-free [`timing`] module plus the `quickbench` bin are
-//! the offline fallback.
+//! dependency-free [`timing`] module plus the `quickbench` bin time the
+//! same configurations.
 
 pub mod report;
 pub mod timing;

@@ -48,7 +48,8 @@ USAGE:
   flipper mine     --input FILE [--gamma F] [--epsilon F]
                    [--minsup F1,F2,...] [--measure NAME]
                    [--variant basic|flipping|tpg|full]
-                   [--engine tidset|scan|bitset|auto] [--top K] [--max-k K]
+                   [--engine bitset|tidset|scan]   (default bitset; auto = bitset)
+                   [--top K] [--max-k K]
                    [--threads N]   (0 = all cores, default 1)
                    [--cache-budget BYTES]   (e.g. 4M; 0 disables, default 16M)
                    [--output-json FILE] [--trace FILE] [--timings]
@@ -83,7 +84,8 @@ change any mined result; they only change how much counting costs.
 
 `--trace FILE` records the run with the flipper-obs recorder and writes a
 `{trace}` Chrome trace-event JSON (open it in chrome://tracing or
-Perfetto). `--timings` (mine) prints a per-phase timing table plus counter
+Perfetto). `--timings` (mine) prints a per-phase timing table, a `lanes:`
+line for worker shard time (busy, count, max/median skew) and counter
 and cache statistics from the same recorder. Both are observability-only:
 mined results and `{results}` bytes are identical with or without
 them, at every thread count.
@@ -468,6 +470,8 @@ fn finish_recorder(
 /// Print the `--timings` per-phase summary sourced from the recorder plus
 /// the run statistics that `flipper-results/v1` deliberately leaves out
 /// (timings, counter and cache counters are execution facts, not results).
+/// Worker shards overlap in time, so they get their own `lanes:` line
+/// instead of a phase row; every phase row then fits inside wall time.
 fn print_timings(capture: &flipper_obs::Capture, stats: &flipper_api::RunStats) {
     println!();
     println!(
@@ -482,6 +486,15 @@ fn print_timings(capture: &flipper_obs::Capture, stats: &flipper_api::RunStats) 
             row.name, row.calls, total_ms, mean_us
         );
     }
+    let lanes = capture.lanes();
+    println!(
+        "lanes:   shards={} busy={:.2}ms max={:.2}ms median={:.2}ms skew={:.2}",
+        lanes.shards,
+        lanes.busy_ns as f64 / 1e6,
+        lanes.max_ns as f64 / 1e6,
+        lanes.median_ns as f64 / 1e6,
+        lanes.skew()
+    );
     println!("run:     {}", stats.summary());
     println!(
         "gen:     covering_tids_scanned={} combinations_enumerated={} fused_supports={}",
@@ -494,10 +507,9 @@ fn print_timings(capture: &flipper_obs::Capture, stats: &flipper_api::RunStats) 
     );
     let k = &stats.cache;
     println!(
-        "cache:   lookups={} exact={} parent={} hit_rate={:.1}% insertions={} evicted_cells={} \
+        "cache:   lookups={} parent={} hit_rate={:.1}% insertions={} evicted_cells={} \
          resident={}B seed_lookups={} seed_hits={}",
         k.lookups,
-        k.exact_hits,
         k.parent_hits,
         k.hit_rate() * 100.0,
         k.insertions,
@@ -584,10 +596,7 @@ fn cmd_sweep(flags: &Flags) -> Result<(), FlipperError> {
     };
     let engines: Vec<CountingEngine> = match flags.get("engines").map(String::as_str) {
         None => vec![base.engine],
-        Some("all") => CountingEngine::CONCRETE
-            .into_iter()
-            .chain([CountingEngine::Auto])
-            .collect(),
+        Some("all") => CountingEngine::ALL.to_vec(),
         Some(spec) => spec
             .split(',')
             .map(|s| parse_engine(s.trim()))
@@ -966,8 +975,9 @@ mod tests {
         let doc = std::fs::read_to_string(&json).unwrap();
         assert!(doc.contains("\"schema\": \"flipper-results/v1\""));
         assert!(doc.contains("{\"label\":\"mine\""));
-        // The execution-layer flags: auto engine selection + sharding, with
-        // the prefix cache disabled (results are identical either way).
+        // The execution-layer flags: `auto` (an alias of the default
+        // engine) + sharding, with the prefix cache disabled (results are
+        // identical either way).
         run(&strs(&[
             "mine",
             "--input",

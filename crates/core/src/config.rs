@@ -10,7 +10,6 @@ use flipper_measures::{Measure, Thresholds};
 /// rare items). Values may be given as fractions of `N` or absolute counts;
 /// if fewer values than levels are supplied, the last value is repeated.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum MinSupports {
     /// Relative thresholds, each in `(0, 1]`, one per level starting at 1.
     Fractions(Vec<f64>),
@@ -63,7 +62,6 @@ impl Default for MinSupports {
 /// Which pruning techniques are active — the four cumulative variants the
 /// paper benchmarks in Fig. 8.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PruningConfig {
     /// Flipping-based pruning (§4.2.2): only chain-alive itemsets are
     /// extended vertically. Off = the BASIC level-wise Apriori baseline,

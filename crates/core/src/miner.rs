@@ -749,7 +749,6 @@ impl<'a> Miner<'a> {
                     ("h", h as u64),
                     ("k", k as u64),
                     ("lookups", after.lookups - before.lookups),
-                    ("exact_hits", after.exact_hits - before.exact_hits),
                     ("parent_hits", after.parent_hits - before.parent_hits),
                     ("insertions", after.insertions - before.insertions),
                     ("evicted", after.evicted_cells - before.evicted_cells),
@@ -1041,7 +1040,6 @@ impl<'a> Miner<'a> {
             );
             flipper_obs::counter_add("flipper_prefix_reuses_total", s.counter.prefix_reuses);
             flipper_obs::counter_add("flipper_cache_lookups_total", s.cache.lookups);
-            flipper_obs::counter_add("flipper_cache_exact_hits_total", s.cache.exact_hits);
             flipper_obs::counter_add("flipper_cache_parent_hits_total", s.cache.parent_hits);
             flipper_obs::counter_add("flipper_cache_insertions_total", s.cache.insertions);
             flipper_obs::counter_add("flipper_cache_evicted_cells_total", s.cache.evicted_cells);

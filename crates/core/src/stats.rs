@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 /// `flipper-lint`'s determinism rule bans `Instant`/`SystemTime` from every
 /// module that feeds `flipper-results/v1` bytes; this module is deliberately
 /// outside that list because [`RunStats::elapsed`] is excluded from the
-/// serialized results (`serde(skip)` here, and the sink never writes it).
+/// serialized results (the sink never writes it).
 /// Timing code in result-path modules goes through this wrapper so the
 /// exemption stays in exactly one place.
 #[derive(Debug, Clone, Copy)]
@@ -39,7 +39,6 @@ impl Stopwatch {
 /// driver) — those carry the ratios between pruning variants on any
 /// machine.
 #[derive(Debug, Clone, Copy, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
 pub struct RunStats {
     /// Candidates generated before counting (after all generation-time
     /// filters).
@@ -75,33 +74,26 @@ pub struct RunStats {
     /// counted ([`crate::mine_with_view_seeded`]); `0` on unseeded runs.
     /// Excluded from serialized results: seeding never changes them, only
     /// how much counting they cost.
-    #[cfg_attr(feature = "serde", serde(skip))]
     pub seeded_supports: u64,
     /// Supports established by vertical candidate generation itself (the
     /// tally of covering transactions each children-combination occurred
     /// in), so neither the seed cache nor the counter saw them. Excluded
     /// from serialized results like `seeded_supports`.
-    #[cfg_attr(feature = "serde", serde(skip))]
     pub fused_supports: u64,
     /// Transactions vertical generation walked: Σ over alive parent sets
     /// of the parents' covering tid-list length.
-    #[cfg_attr(feature = "serde", serde(skip))]
     pub covering_tids_scanned: u64,
     /// Children-combinations vertical generation enumerated, one per
     /// (covering transaction, combination present in it); repeats of one
     /// combination included.
-    #[cfg_attr(feature = "serde", serde(skip))]
     pub combinations_enumerated: u64,
     /// Counting-engine statistics.
-    #[cfg_attr(feature = "serde", serde(skip))]
     pub counter: CounterStats,
     /// Cross-cell prefix-cache efficiency counters. Excluded from
     /// serialized results for the same reason as `counter`: hit rates are
     /// an engine/runtime property, not a property of the mined patterns.
-    #[cfg_attr(feature = "serde", serde(skip))]
     pub cache: CacheStats,
     /// Wall-clock duration of the mining run.
-    #[cfg_attr(feature = "serde", serde(skip))]
     pub elapsed: Duration,
 }
 

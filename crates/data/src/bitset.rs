@@ -1,10 +1,12 @@
-//! Dense bitmap support counting — a third engine for high-density data.
+//! Hybrid bitmap / tid-list support counting — the default engine.
 //!
 //! Tid-lists win when items are sparse; when an item appears in a large
 //! fraction of transactions (common at shallow taxonomy levels, where a
 //! category may cover half the database), a packed bitmap with word-wise
-//! AND + popcount is both smaller and faster. [`BitsetCounter`] uses
-//! bitmaps for dense items and falls back to tid-lists for sparse ones.
+//! AND + popcount is both smaller and faster. [`BitsetCounter`] makes that
+//! choice per item: bitmaps for dense items, tid-lists for sparse ones, so
+//! a level mixing a few very dense categories with a long sparse tail gets
+//! the right representation for each.
 
 use crate::cache::{CachedPrefix, CellCache, PrefixCache};
 use crate::counting::{cached_group_sharded, prefix_groups};
@@ -13,6 +15,7 @@ use crate::projection::MultiLevelView;
 use crate::tidset::{intersect_into, intersect_size, intersect_size_many};
 use flipper_taxonomy::NodeId;
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// A fixed-width packed bitmap over transaction ids.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -187,8 +190,10 @@ impl Bitmap {
 /// bitmaps (or pure word-AND when all members are dense).
 pub struct BitsetCounter<'v> {
     view: &'v MultiLevelView,
-    /// Bitmaps per level (index `h-1`), for dense items only.
-    bitmaps: Vec<HashMap<NodeId, Bitmap>>,
+    /// Promoted items per level (index `h-1`). Each bitmap is built the
+    /// first time a candidate needs it, so a run that counts few
+    /// candidates does not pay for bitmaps of every dense item.
+    bitmaps: Vec<HashMap<NodeId, OnceLock<Bitmap>>>,
     stats: crate::counting::CounterStats,
 }
 
@@ -205,37 +210,18 @@ impl<'v> BitsetCounter<'v> {
     /// Build with an explicit density threshold in `[0, 1]`. A threshold of
     /// 0 promotes every item; 1.0+ promotes none (degenerating to tid-lists).
     pub fn with_density(view: &'v MultiLevelView, density: f64) -> Self {
-        Self::with_density_at_levels(view, density, None)
-    }
-
-    /// Build bitmaps only at the levels `h` where `level_mask[h - 1]` is
-    /// true (`None` = every level). Levels left out of the mask fall back to
-    /// pure tid-list counting; [`crate::AutoCounter`] uses this so a mostly
-    /// sparse dataset does not pay bitmap construction for every level.
-    pub fn with_density_at_levels(
-        view: &'v MultiLevelView,
-        density: f64,
-        level_mask: Option<&[bool]>,
-    ) -> Self {
         assert!(density >= 0.0, "density threshold must be non-negative");
-        if let Some(mask) = level_mask {
-            assert_eq!(mask.len(), view.height(), "one mask entry per level");
-        }
-        let n = view.num_transactions();
-        let cutoff = (density * n as f64) as u64;
-        let mut bitmaps = Vec::with_capacity(view.height());
-        for h in 1..=view.height() {
-            let mut per_level = HashMap::new();
-            if level_mask.is_none_or(|m| m[h - 1]) {
+        let cutoff = (density * view.num_transactions() as f64) as u64;
+        let bitmaps = (1..=view.height())
+            .map(|h| {
                 let lv = view.level(h);
-                for &item in lv.present_items() {
-                    if lv.item_support(item) >= cutoff.max(1) {
-                        per_level.insert(item, Bitmap::from_tids(lv.tidset(item), n));
-                    }
-                }
-            }
-            bitmaps.push(per_level);
-        }
+                lv.present_items()
+                    .iter()
+                    .filter(|&&item| lv.item_support(item) >= cutoff.max(1))
+                    .map(|&item| (item, OnceLock::new()))
+                    .collect()
+            })
+            .collect();
         BitsetCounter {
             view,
             bitmaps,
@@ -248,12 +234,24 @@ impl<'v> BitsetCounter<'v> {
         self.bitmaps[h - 1].len()
     }
 
+    /// The bitmap of `item` at level `h` when the item is promoted (built
+    /// on first use), `None` when it stays a tid-list.
+    fn bitmap(&self, h: usize, item: NodeId) -> Option<&Bitmap> {
+        let cell = self.bitmaps[h - 1].get(&item)?;
+        Some(cell.get_or_init(|| {
+            Bitmap::from_tids(
+                self.view.level(h).tidset(item),
+                self.view.num_transactions(),
+            )
+        }))
+    }
+
     /// [`crate::SupportCounter::count_shard`] with a cross-cell prefix
     /// cache, hybrid flavor: a multi-member `k ≥ 3` group resolves its
-    /// prefix by exact hit (copy the cached bitmap/tid-list), parent hit
-    /// (`k ≥ 4`: one combine of the cached `(k−2)`-prefix with the last
-    /// prefix item, across all four dense/sparse pairings), or the full
-    /// rebuild, which caches its result for the next batch.
+    /// prefix by parent hit (`k ≥ 4`: one combine of the cached
+    /// `(k−2)`-prefix with the last prefix item, across all four
+    /// dense/sparse pairings) or by the full rebuild; either result is
+    /// cached for the next column.
     ///
     /// The uncached kernel charges every multi-member group `k−2`
     /// intersections plus one per member *unconditionally* (no early exit
@@ -279,7 +277,6 @@ impl<'v> BitsetCounter<'v> {
             Tids(&'a [u32]),
         }
         let lv = self.view.level(h);
-        let maps = &self.bitmaps[h - 1];
         let mut stats = crate::counting::CounterStats {
             candidates_counted: candidates.len() as u64,
             ..Default::default()
@@ -307,7 +304,7 @@ impl<'v> BitsetCounter<'v> {
                 dense.clear();
                 sparse.clear();
                 for &it in items {
-                    match maps.get(&it) {
+                    match self.bitmap(h, it) {
                         Some(m) => dense.push(m),
                         None => sparse.push(lv.tidset(it)),
                     }
@@ -329,7 +326,7 @@ impl<'v> BitsetCounter<'v> {
                 continue;
             }
             let prefix = if k == 2 {
-                match maps.get(&items[0]) {
+                match self.bitmap(h, items[0]) {
                     Some(m) => Prefix::Bits(m),
                     None => Prefix::Tids(lv.tidset(items[0])),
                 }
@@ -337,62 +334,51 @@ impl<'v> BitsetCounter<'v> {
                 stats.prefix_reuses += (group.len() - 1) as u64;
                 stats.intersections += (k - 2) as u64;
                 let prefix_items = &items[..k - 1];
-                // `None` = unresolved, `Some(true)` = bitmap scratch,
-                // `Some(false)` = tid-list scratch.
-                let mut repr = match cache.lookup(h, prefix_items) {
-                    Some(CachedPrefix::Bits(b)) => {
-                        prefix_bm.copy_from(b);
+                // Parent hit: combine the cached (k−2)-prefix with the last
+                // prefix item, whatever the two representations. `None` =
+                // unresolved, `Some(true)` = bitmap scratch, `Some(false)` =
+                // tid-list scratch.
+                let bridge = items[k - 2];
+                let parent = if k >= 4 {
+                    cache.lookup(h, &items[..k - 2])
+                } else {
+                    None
+                };
+                let repr = match (parent, self.bitmap(h, bridge)) {
+                    (Some(CachedPrefix::Bits(p)), Some(m)) => {
+                        prefix_bm.copy_from(p);
+                        prefix_bm.and_assign(m);
                         Some(true)
                     }
-                    Some(CachedPrefix::Tids(t)) => {
+                    (Some(CachedPrefix::Bits(p)), None) => {
                         prefix_tids.clear();
-                        prefix_tids.extend_from_slice(t);
+                        prefix_tids.extend(
+                            lv.tidset(bridge)
+                                .iter()
+                                .copied()
+                                .filter(|&t| p.get(t as usize)),
+                        );
                         Some(false)
                     }
-                    None => None,
-                };
-                if repr.is_some() {
-                    cache.stats_mut().exact_hits += 1;
-                } else if k >= 4 {
-                    // Parent hit: combine the cached (k−2)-prefix with the
-                    // last prefix item, whatever the two representations.
-                    let bridge = items[k - 2];
-                    repr = match (cache.lookup(h, &items[..k - 2]), maps.get(&bridge)) {
-                        (Some(CachedPrefix::Bits(p)), Some(m)) => {
-                            prefix_bm.copy_from(p);
-                            prefix_bm.and_assign(m);
-                            Some(true)
-                        }
-                        (Some(CachedPrefix::Bits(p)), None) => {
-                            prefix_tids.clear();
-                            prefix_tids.extend(
-                                lv.tidset(bridge)
-                                    .iter()
-                                    .copied()
-                                    .filter(|&t| p.get(t as usize)),
-                            );
-                            Some(false)
-                        }
-                        (Some(CachedPrefix::Tids(p)), Some(m)) => {
-                            prefix_tids.clear();
-                            prefix_tids.extend(p.iter().copied().filter(|&t| m.get(t as usize)));
-                            Some(false)
-                        }
-                        (Some(CachedPrefix::Tids(p)), None) => {
-                            intersect_into(p, lv.tidset(bridge), &mut prefix_tids);
-                            Some(false)
-                        }
-                        (None, _) => None,
-                    };
-                    if let Some(bits) = repr {
-                        cache.stats_mut().parent_hits += 1;
-                        let value = if bits {
-                            CachedPrefix::Bits(prefix_bm.clone())
-                        } else {
-                            CachedPrefix::Tids(prefix_tids.clone())
-                        };
-                        cache.insert(h, prefix_items, value);
+                    (Some(CachedPrefix::Tids(p)), Some(m)) => {
+                        prefix_tids.clear();
+                        prefix_tids.extend(p.iter().copied().filter(|&t| m.get(t as usize)));
+                        Some(false)
                     }
+                    (Some(CachedPrefix::Tids(p)), None) => {
+                        intersect_into(p, lv.tidset(bridge), &mut prefix_tids);
+                        Some(false)
+                    }
+                    (None, _) => None,
+                };
+                if let Some(bits) = repr {
+                    cache.stats_mut().parent_hits += 1;
+                    let value = if bits {
+                        CachedPrefix::Bits(prefix_bm.clone())
+                    } else {
+                        CachedPrefix::Tids(prefix_tids.clone())
+                    };
+                    cache.insert(h, prefix_items, value);
                 }
                 match repr {
                     Some(true) => Prefix::Bits(&prefix_bm),
@@ -403,7 +389,7 @@ impl<'v> BitsetCounter<'v> {
                         dense.clear();
                         sparse.clear();
                         for &it in prefix_items {
-                            match maps.get(&it) {
+                            match self.bitmap(h, it) {
                                 Some(m) => dense.push(m),
                                 None => sparse.push(lv.tidset(it)),
                             }
@@ -433,7 +419,7 @@ impl<'v> BitsetCounter<'v> {
                 stats.intersections += 1;
                 // lint:allow(panic-hygiene) group members are k >= 2 itemsets by the prefix-split precondition
                 let last = *candidates[i].items().last().expect("k >= 2");
-                counts[i] = match (&prefix, maps.get(&last)) {
+                counts[i] = match (&prefix, self.bitmap(h, last)) {
                     (Prefix::Bits(p), Some(m)) => Bitmap::and_count(&[p, m]),
                     (Prefix::Bits(p), None) => p.and_tids_count(lv.tidset(last)),
                     (Prefix::Tids(p), Some(m)) => m.and_tids_count(p),
@@ -478,7 +464,6 @@ impl crate::counting::SupportCounter for BitsetCounter<'_> {
             Tids(&'a [u32]),
         }
         let lv = self.view.level(h);
-        let maps = &self.bitmaps[h - 1];
         let mut stats = crate::counting::CounterStats {
             candidates_counted: candidates.len() as u64,
             ..Default::default()
@@ -505,7 +490,7 @@ impl crate::counting::SupportCounter for BitsetCounter<'_> {
             dense.clear();
             sparse.clear();
             for &it in &items[..k - 1] {
-                match maps.get(&it) {
+                match self.bitmap(h, it) {
                     Some(m) => dense.push(m),
                     None => sparse.push(lv.tidset(it)),
                 }
@@ -518,7 +503,7 @@ impl crate::counting::SupportCounter for BitsetCounter<'_> {
             if k >= 3 && group.len() == 1 {
                 stats.intersections += (k - 1) as u64;
                 let last = items[k - 1];
-                match maps.get(&last) {
+                match self.bitmap(h, last) {
                     Some(m) => dense.push(m),
                     None => sparse.push(lv.tidset(last)),
                 }
@@ -570,7 +555,7 @@ impl crate::counting::SupportCounter for BitsetCounter<'_> {
                 stats.intersections += 1;
                 // lint:allow(panic-hygiene) group members are k >= 2 itemsets by the prefix-split precondition
                 let last = *candidates[i].items().last().expect("k >= 2");
-                counts[i] = match (&prefix, maps.get(&last)) {
+                counts[i] = match (&prefix, self.bitmap(h, last)) {
                     (Prefix::Bits(p), Some(m)) => Bitmap::and_count(&[p, m]),
                     (Prefix::Bits(p), None) => p.and_tids_count(lv.tidset(last)),
                     (Prefix::Tids(p), Some(m)) => m.and_tids_count(p),
@@ -726,6 +711,56 @@ mod tests {
         assert_eq!(bc.dense_items(1), view.level(1).present_items().len());
         let bc = BitsetCounter::with_density(&view, 2.0);
         assert_eq!(bc.dense_items(1), 0);
+    }
+
+    /// A sparse level can still hold a dense item: the leaf level below has
+    /// a mean fill ratio well under 1/16, yet one leaf sits in every fourth
+    /// transaction. Promotion is per item, so that leaf gets a bitmap, and
+    /// the mixed bitmap/tid-list candidates count exactly.
+    #[test]
+    fn sparse_level_promotes_its_dense_item() {
+        let tax = Taxonomy::uniform(3, 4, 3).unwrap();
+        let leaves = tax.leaves().to_vec();
+        let hot = leaves[5];
+        let mut rng = Xoshiro256pp::seed_from_u64(0x5BA5E);
+        let rows: Vec<Vec<NodeId>> = (0..400)
+            .map(|t| {
+                let w = rng.gen_range(1..=2usize);
+                let mut row: Vec<NodeId> = (0..w)
+                    .map(|_| leaves[rng.gen_range(0..leaves.len())])
+                    .collect();
+                if t % 4 == 0 {
+                    row.push(hot);
+                }
+                row
+            })
+            .collect();
+        let db = TransactionDb::new(rows).unwrap();
+        let view = MultiLevelView::build(&db, &tax);
+        let h = tax.height();
+        let lv = view.level(h);
+        let n = view.num_transactions() as f64;
+        let fill: u64 = lv.present_items().iter().map(|&i| lv.item_support(i)).sum();
+        let mean_density = fill as f64 / (lv.present_items().len() as f64 * n);
+        assert!(
+            mean_density < BitsetCounter::DEFAULT_DENSITY,
+            "{mean_density}"
+        );
+        assert!(lv.item_support(hot) as f64 >= BitsetCounter::DEFAULT_DENSITY * n);
+
+        let mut bc = BitsetCounter::new(&view);
+        assert!(bc.dense_items(h) >= 1, "the hot leaf must be promoted");
+        let others: Vec<NodeId> = leaves.iter().copied().filter(|&l| l != hot).collect();
+        let mut cands: Vec<Itemset> = others.iter().map(|&o| Itemset::pair(hot, o)).collect();
+        for w in others.windows(2) {
+            cands.push(Itemset::pair(w[0], w[1]));
+            cands.push(Itemset::new(vec![w[0], w[1], hot]));
+        }
+        cands.sort_unstable();
+        assert_eq!(
+            bc.count_batch(h, &cands),
+            crate::counting::naive_tidset_counts(&view, h, &cands)
+        );
     }
 
     #[test]

@@ -8,10 +8,9 @@
 //! materialize each `(k−1)`-prefix intersection once per batch, but every
 //! batch used to start from level singletons. [`PrefixCache`] retains the
 //! materialized prefixes *across* batches, keyed by `(h, prefix)`: when the
-//! `k`-column of a cell is counted, each group first probes for its exact
-//! prefix and then for the parent `(k−2)`-prefix the `(h, k−1)` cell
-//! materialized — a hit replaces the full shortest-first rebuild with at
-//! most one incremental intersection.
+//! `k`-column of a cell is counted, each group probes for the parent
+//! `(k−2)`-prefix the `(h, k−1)` cell materialized — a hit replaces the
+//! full shortest-first rebuild with one incremental intersection.
 //!
 //! Caching never changes counts, and the cached kernels charge
 //! *as-if-uncached* [`crate::CounterStats`] (exact — see the kernel docs),
@@ -60,9 +59,11 @@ const SEED_SKIP_RESTART: usize = 32;
 /// exist for benches and diagnostics only.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Prefix-cache probes (exact and parent probes both count).
+    /// Prefix-cache probes (one per `k ≥ 4` prefix group).
     pub lookups: u64,
-    /// Probes answered by the exact `(h, prefix)` entry.
+    /// Always 0: the kernels no longer probe for a group's own prefix,
+    /// which no measured workload ever found cached. Kept so reports that
+    /// sum hit kinds keep their shape.
     pub exact_hits: u64,
     /// Probes answered from the parent `(k−2)`-prefix plus one incremental
     /// intersection.
@@ -92,7 +93,7 @@ impl CacheStats {
         self.seed_hits += other.seed_hits;
     }
 
-    /// Fraction of prefix probes that hit (exact or parent), in `[0, 1]`.
+    /// Fraction of prefix probes that hit, in `[0, 1]`.
     pub fn hit_rate(&self) -> f64 {
         if self.lookups == 0 {
             return 0.0;
@@ -177,8 +178,8 @@ impl PrefixCache {
     }
 
     /// Probe for the prefix `(h, prefix)`. Counts a lookup and touches the
-    /// containing cell's LRU tick; hit classification (exact vs parent) is
-    /// the caller's, via [`PrefixCache::stats_mut`].
+    /// containing cell's LRU tick; the caller counts hits via
+    /// [`PrefixCache::stats_mut`].
     pub fn lookup(&mut self, h: usize, prefix: &[NodeId]) -> Option<&CachedPrefix> {
         if self.budget == 0 {
             return None;

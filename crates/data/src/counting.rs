@@ -3,18 +3,16 @@
 //! The miner asks one question per search-table cell: *what are the supports
 //! of this batch of candidate `(h,k)`-itemsets?* Three engines answer it:
 //!
+//! * [`crate::BitsetCounter`] — hybrid counting, the default: every item
+//!   covering at least 1/16 of the transactions is a packed bitmap, every
+//!   other item stays a tid-list, so each candidate is counted in the
+//!   representation its own items call for.
 //! * [`TidsetCounter`] — vertical counting: per-item sorted tid-lists,
-//!   candidate support = size of the k-way intersection. The default; fast
-//!   at laptop scale.
+//!   candidate support = size of the k-way intersection.
 //! * [`ScanCounter`] — horizontal counting: one sequential pass over the
 //!   (projected) transactions per batch, testing candidates grouped by their
 //!   first item. This models the paper's disk-scan counting and its scan
 //!   statistics.
-//! * [`crate::BitsetCounter`] — hybrid dense-bitmap / sparse-tidlist
-//!   counting for high-density levels.
-//!
-//! [`CountingEngine::Auto`] measures per-level density and picks one of the
-//! three per level (see [`crate::AutoCounter`]).
 //!
 //! All engines are deterministic and produce identical counts
 //! (property-tested); they differ only in complexity profile, which the
@@ -282,8 +280,7 @@ pub fn naive_tidset_counts(view: &MultiLevelView, h: usize, candidates: &[Itemse
 }
 
 /// The group-boundary sharding strategy backing the trait's default
-/// [`SupportCounter::count_batch_sharded`]; also reused by engines that
-/// dispatch per level ([`crate::AutoCounter`]). Chunks split only between
+/// [`SupportCounter::count_batch_sharded`]. Chunks split only between
 /// prefix groups ([`crate::exec::map_group_chunks`]), so the grouped
 /// kernels do identical work — and report identical stats — at every
 /// thread count.
@@ -364,41 +361,6 @@ where
     counts
 }
 
-/// The transaction-chunked sharding strategy for grouped-scan counting over
-/// `lv`: one split pass instead of one full pass per worker. Per-range
-/// partial counts sum element-wise and subset tests sum across ranges, so
-/// counts and stats stay bit-identical to the sequential pass.
-pub(crate) fn scan_sharded<C: SupportCounter + ?Sized>(
-    counter: &mut C,
-    lv: &crate::projection::LevelView,
-    h: usize,
-    candidates: &[Itemset],
-    threads: usize,
-) -> Vec<u64> {
-    let threads = exec::effective_threads(threads);
-    if threads <= 1 || candidates.is_empty() || lv.len() < MIN_SHARD_TXNS {
-        return counter.count_batch(h, candidates);
-    }
-    let by_first = group_by_first(candidates);
-    let shards = exec::map_chunks(threads, lv.len(), |range| {
-        scan_txn_range(lv, candidates, &by_first, range)
-    });
-    let mut counts = vec![0u64; candidates.len()];
-    let mut delta = CounterStats {
-        candidates_counted: candidates.len() as u64,
-        ..CounterStats::default()
-    };
-    for (partial, subset_tests) in shards {
-        for (total, c) in counts.iter_mut().zip(partial) {
-            *total += c;
-        }
-        delta.subset_tests += subset_tests;
-    }
-    delta.merge(&counter.batch_stats(h, candidates));
-    counter.merge_stats(&delta);
-    counts
-}
-
 /// Vertical (tid-list intersection) counting engine.
 pub struct TidsetCounter<'v> {
     view: &'v MultiLevelView,
@@ -416,18 +378,18 @@ impl<'v> TidsetCounter<'v> {
 
     /// [`SupportCounter::count_shard`] with a cross-cell prefix cache.
     ///
-    /// Per `k ≥ 3` group the kernel resolves the `(k−1)`-prefix in cost
-    /// order: an **exact hit** copies the cached intersection; a **parent
-    /// hit** (`k ≥ 4`) extends the cached `(k−2)`-prefix — the one the
-    /// `(h, k−1)` cell materialized — by a single intersection with the
-    /// last prefix item; a miss falls back to the full shortest-first
-    /// rebuild and caches the (non-empty) result for the next batch.
+    /// Per `k ≥ 4` group the kernel first tries a **parent hit**: it
+    /// extends the cached `(k−2)`-prefix — the one the `(h, k−1)` cell
+    /// materialized — by a single intersection with the last prefix item.
+    /// Otherwise (and always for `k = 3`) it runs the full shortest-first
+    /// rebuild. Either way the (non-empty) `(k−1)`-prefix is cached for the
+    /// next column.
     ///
     /// Statistics are charged *as if uncached*, exactly: a non-empty final
     /// prefix means every shortest-first intermediate is a non-empty
     /// superset, so the uncached rebuild performs exactly `k−2`
-    /// intersections with no early exit — which is what both hit paths
-    /// charge. A parent hit whose extension comes up empty is discarded
+    /// intersections with no early exit — which is what a parent hit
+    /// charges. A parent hit whose extension comes up empty is discarded
     /// and the full rebuild runs instead (its early-exit op count depends
     /// on list-length order, so only the rebuild itself can charge it);
     /// empty prefixes are likewise never cached. Counts and stats are
@@ -476,47 +438,27 @@ impl<'v> TidsetCounter<'v> {
             }
             stats.prefix_reuses += (group.len() - 1) as u64;
             let prefix_items = &items[..k - 1];
-            // Exact hit: the prefix itself was materialized by an earlier
-            // batch (cached entries are never empty).
-            let exact = match cache.lookup(h, prefix_items) {
-                Some(CachedPrefix::Tids(t)) => {
-                    scratch.acc.clear();
-                    scratch.acc.extend_from_slice(t);
-                    true
-                }
-                _ => false,
-            };
-            let mut resolved = exact;
-            if exact {
-                cache.stats_mut().exact_hits += 1;
-                stats.intersections += (k - 2) as u64;
-            } else if k >= 4 {
-                // Parent hit: extend the (k−2)-prefix the previous column
-                // cached by one intersection with the last prefix item.
-                let extended = match cache.lookup(h, &items[..k - 2]) {
+            // Parent hit: extend the (k−2)-prefix the previous column
+            // cached by one intersection with the last prefix item.
+            let parent_hit = k >= 4
+                && match cache.lookup(h, &items[..k - 2]) {
                     Some(CachedPrefix::Tids(t)) => {
                         intersect_into(t, lv.tidset(items[k - 2]), &mut scratch.next);
-                        true
+                        !scratch.next.is_empty()
                     }
                     _ => false,
                 };
-                if extended && !scratch.next.is_empty() {
-                    std::mem::swap(&mut scratch.acc, &mut scratch.next);
-                    cache.stats_mut().parent_hits += 1;
-                    stats.intersections += (k - 2) as u64;
-                    cache.insert(h, prefix_items, CachedPrefix::Tids(scratch.acc.clone()));
-                    resolved = true;
-                }
-            }
-            if !resolved {
+            if parent_hit {
+                std::mem::swap(&mut scratch.acc, &mut scratch.next);
+                cache.stats_mut().parent_hits += 1;
+                stats.intersections += (k - 2) as u64;
+            } else {
                 scratch.materialize(lv, prefix_items, &mut stats.intersections);
-                if !scratch.acc.is_empty() {
-                    cache.insert(h, prefix_items, CachedPrefix::Tids(scratch.acc.clone()));
-                }
             }
             if scratch.acc.is_empty() {
                 continue; // all members count 0; no further intersections
             }
+            cache.insert(h, prefix_items, CachedPrefix::Tids(scratch.acc.clone()));
             for i in group {
                 stats.intersections += 1;
                 // lint:allow(panic-hygiene) group members are k >= 2 itemsets by the prefix-split precondition
@@ -637,7 +579,7 @@ impl<'v> ScanCounter<'v> {
 
 /// Group candidate indices by first (smallest) item, so a transaction only
 /// tests candidates whose first item it actually contains.
-pub(crate) fn group_by_first(candidates: &[Itemset]) -> HashMap<NodeId, Vec<usize>> {
+fn group_by_first(candidates: &[Itemset]) -> HashMap<NodeId, Vec<usize>> {
     let mut by_first: HashMap<NodeId, Vec<usize>> = HashMap::new();
     for (i, c) in candidates.iter().enumerate() {
         // lint:allow(panic-hygiene) candidate generation never emits an empty itemset
@@ -649,7 +591,7 @@ pub(crate) fn group_by_first(candidates: &[Itemset]) -> HashMap<NodeId, Vec<usiz
 
 /// The scan core over one transaction range: per-candidate counts within
 /// the range plus the number of subset tests performed.
-pub(crate) fn scan_txn_range(
+fn scan_txn_range(
     lv: &crate::projection::LevelView,
     candidates: &[Itemset],
     by_first: &HashMap<NodeId, Vec<usize>>,
@@ -710,7 +652,9 @@ impl SupportCounter for ScanCounter<'_> {
 
     /// The scan engine shards the **transactions**, not the candidates: a
     /// candidate-chunked shard would repeat the full database pass once per
-    /// worker.
+    /// worker. Per-range partial counts sum element-wise and subset tests
+    /// sum across ranges, so counts and stats stay bit-identical to the
+    /// sequential pass.
     fn count_batch_sharded(
         &mut self,
         h: usize,
@@ -718,7 +662,28 @@ impl SupportCounter for ScanCounter<'_> {
         threads: usize,
     ) -> Vec<u64> {
         let lv = self.view.level(h);
-        scan_sharded(self, lv, h, candidates, threads)
+        let threads = exec::effective_threads(threads);
+        if threads <= 1 || candidates.is_empty() || lv.len() < MIN_SHARD_TXNS {
+            return self.count_batch(h, candidates);
+        }
+        let by_first = group_by_first(candidates);
+        let shards = exec::map_chunks(threads, lv.len(), |range| {
+            scan_txn_range(lv, candidates, &by_first, range)
+        });
+        let mut counts = vec![0u64; candidates.len()];
+        let mut delta = CounterStats {
+            candidates_counted: candidates.len() as u64,
+            ..CounterStats::default()
+        };
+        for (partial, subset_tests) in shards {
+            for (total, c) in counts.iter_mut().zip(partial) {
+                *total += c;
+            }
+            delta.subset_tests += subset_tests;
+        }
+        delta.merge(&self.batch_stats(h, candidates));
+        self.merge_stats(&delta);
+        counts
     }
 
     fn merge_stats(&mut self, delta: &CounterStats) {
@@ -737,16 +702,14 @@ impl SupportCounter for ScanCounter<'_> {
 /// Which counting engine to instantiate — part of the miner configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CountingEngine {
-    /// Vertical tid-list intersection (default).
-    #[default]
+    /// Vertical tid-list intersection.
     Tidset,
     /// Horizontal sequential scan (models the paper's setup).
     Scan,
-    /// Hybrid dense-bitmap / sparse-tidlist engine (see [`crate::BitsetCounter`]).
+    /// Hybrid dense-bitmap / sparse-tidlist engine (default; see
+    /// [`crate::BitsetCounter`]).
+    #[default]
     Bitset,
-    /// Per-level auto-selection among the three from measured density (see
-    /// [`crate::AutoCounter`]).
-    Auto,
 }
 
 impl CountingEngine {
@@ -756,17 +719,17 @@ impl CountingEngine {
             CountingEngine::Tidset => Box::new(TidsetCounter::new(view)),
             CountingEngine::Scan => Box::new(ScanCounter::new(view)),
             CountingEngine::Bitset => Box::new(crate::bitset::BitsetCounter::new(view)),
-            CountingEngine::Auto => Box::new(crate::auto::AutoCounter::new(view)),
         }
     }
 
-    /// Parse an engine name as used by CLIs and benches.
+    /// Parse an engine name as used by CLIs and benches. `auto` names the
+    /// default engine, whose per-item bitmap promotion is the density
+    /// choice, so scripts and sweep journals written with it stay valid.
     pub fn parse(name: &str) -> Option<Self> {
         match name {
             "tidset" => Some(CountingEngine::Tidset),
             "scan" => Some(CountingEngine::Scan),
-            "bitset" => Some(CountingEngine::Bitset),
-            "auto" => Some(CountingEngine::Auto),
+            "bitset" | "auto" => Some(CountingEngine::Bitset),
             _ => None,
         }
     }
@@ -779,12 +742,11 @@ impl CountingEngine {
             CountingEngine::Tidset => "tidset",
             CountingEngine::Scan => "scan",
             CountingEngine::Bitset => "bitset",
-            CountingEngine::Auto => "auto",
         }
     }
 
-    /// All concrete (non-auto) engines.
-    pub const CONCRETE: [CountingEngine; 3] = [
+    /// Every engine.
+    pub const ALL: [CountingEngine; 3] = [
         CountingEngine::Tidset,
         CountingEngine::Scan,
         CountingEngine::Bitset,
@@ -848,12 +810,7 @@ mod tests {
             (2, Itemset::pair(g("a1"), g("b1")), 2),
             (1, Itemset::pair(g("a"), g("b")), 7),
         ];
-        for engine in [
-            CountingEngine::Tidset,
-            CountingEngine::Scan,
-            CountingEngine::Bitset,
-            CountingEngine::Auto,
-        ] {
+        for engine in CountingEngine::ALL {
             let mut c = engine.make(&view);
             for (h, set, expect) in cases.iter() {
                 let got = c.count_batch(*h, std::slice::from_ref(set));
@@ -971,12 +928,7 @@ mod tests {
             let extra = cands.clone();
             cands.extend(extra);
         }
-        for engine in [
-            CountingEngine::Tidset,
-            CountingEngine::Scan,
-            CountingEngine::Bitset,
-            CountingEngine::Auto,
-        ] {
+        for engine in CountingEngine::ALL {
             let mut seq = engine.make(&view);
             let expect = seq.count_batch(2, &cands);
             for threads in [2usize, 3, 7] {
@@ -1219,11 +1171,7 @@ mod tests {
         let view = MultiLevelView::build(&db, &tax);
         let (b3, b4) = chained_batches(&tax);
         assert!(b3.len() >= MIN_SHARD_CANDIDATES, "exercise sharding");
-        for engine in [
-            CountingEngine::Tidset,
-            CountingEngine::Bitset,
-            CountingEngine::Auto,
-        ] {
+        for engine in [CountingEngine::Tidset, CountingEngine::Bitset] {
             let mut base = engine.make(&view);
             let expect3 = base.count_batch(2, &b3);
             let expect4 = base.count_batch(2, &b4);
@@ -1247,30 +1195,32 @@ mod tests {
         }
     }
 
-    /// Cache-efficiency accounting: a repeated batch exact-hits its
-    /// prefixes, the next k-column parent-hits the prefixes the previous
-    /// column materialized, and a zero budget records nothing.
+    /// Cache-efficiency accounting: the next k-column parent-hits the
+    /// prefixes the previous column materialized, the prefix itself is
+    /// never probed (k = 3 groups make no lookups at all), and a zero
+    /// budget records nothing.
     #[test]
     fn cross_cell_cache_hits_are_observable() {
         let (tax, db) = cached_fixture();
         let view = MultiLevelView::build(&db, &tax);
         let (b3, b4) = chained_batches(&tax);
-        let mut cache = CellCache::new(usize::MAX);
-        let mut tc = TidsetCounter::new(&view);
-        tc.count_batch_cached(2, &b3, 1, &mut cache);
-        let cold = cache.stats();
-        assert!(cold.insertions > 0, "cold run populates the cache");
-        assert_eq!(cold.exact_hits, 0);
-        tc.count_batch_cached(2, &b3, 1, &mut cache);
-        let warm = cache.stats();
-        assert!(warm.exact_hits > 0, "repeated batch exact-hits");
-        tc.count_batch_cached(2, &b4, 1, &mut cache);
-        let next_col = cache.stats();
-        assert!(
-            next_col.parent_hits > 0,
-            "k=4 prefixes extend the cached k=3 prefixes"
-        );
-        assert!(next_col.bytes_resident > 0);
+        for engine in [CountingEngine::Tidset, CountingEngine::Bitset] {
+            let mut cache = CellCache::new(usize::MAX);
+            let mut c = engine.make(&view);
+            c.count_batch_cached(2, &b3, 1, &mut cache);
+            let cold = cache.stats();
+            assert!(cold.insertions > 0, "{engine:?}: k=3 populates the cache");
+            assert_eq!(cold.lookups, 0, "{engine:?}: k=3 has no parent to probe");
+            c.count_batch_cached(2, &b4, 1, &mut cache);
+            let next_col = cache.stats();
+            assert!(
+                next_col.parent_hits > 0,
+                "{engine:?}: k=4 prefixes extend the cached k=3 prefixes"
+            );
+            assert_eq!(next_col.exact_hits, 0);
+            assert!(next_col.lookups >= next_col.parent_hits);
+            assert!(next_col.bytes_resident > 0);
+        }
         // Budget 0: nothing probed, nothing stored.
         let mut off = CellCache::disabled();
         let mut tc = TidsetCounter::new(&view);
@@ -1296,17 +1246,71 @@ mod tests {
         assert_eq!(CountingEngine::Tidset.make(&view).engine_name(), "tidset");
         assert_eq!(CountingEngine::Scan.make(&view).engine_name(), "scan");
         assert_eq!(CountingEngine::Bitset.make(&view).engine_name(), "bitset");
-        assert_eq!(CountingEngine::Auto.make(&view).engine_name(), "auto");
-        for (name, engine) in [
-            ("tidset", CountingEngine::Tidset),
-            ("scan", CountingEngine::Scan),
-            ("bitset", CountingEngine::Bitset),
-            ("auto", CountingEngine::Auto),
-        ] {
-            assert_eq!(CountingEngine::parse(name), Some(engine));
-            assert_eq!(engine.name(), name, "name() is the inverse of parse");
+        for engine in CountingEngine::ALL {
+            assert_eq!(
+                CountingEngine::parse(engine.name()),
+                Some(engine),
+                "name() is the inverse of parse"
+            );
         }
         assert_eq!(CountingEngine::parse("nope"), None);
+    }
+
+    /// The default engine is the per-item hybrid, and `auto` — the name of
+    /// the retired per-level dispatcher — resolves to it.
+    #[test]
+    fn default_and_auto_are_the_hybrid() {
+        let (tax, db) = toy();
+        let view = MultiLevelView::build(&db, &tax);
+        assert_eq!(CountingEngine::default(), CountingEngine::Bitset);
+        assert_eq!(CountingEngine::parse("auto"), Some(CountingEngine::Bitset));
+        assert_eq!(
+            CountingEngine::default().make(&view).engine_name(),
+            "bitset"
+        );
+    }
+
+    /// Every engine agrees on counts at every level of a dense fixture
+    /// (wide transactions over few leaves) and a sparse one (narrow
+    /// transactions over many leaves).
+    #[test]
+    fn engines_agree_on_dense_and_sparse_levels() {
+        let fixture = |shape: (usize, usize, usize), n: usize, (lo, hi): (usize, usize), seed| {
+            let (roots, fanout, height) = shape;
+            let tax = Taxonomy::uniform(roots, fanout, height).unwrap();
+            let leaves = tax.leaves().to_vec();
+            let mut rng = Xoshiro256pp::seed_from_u64(seed);
+            let rows: Vec<Vec<NodeId>> = (0..n)
+                .map(|_| {
+                    let w = rng.gen_range(lo..=hi);
+                    (0..w)
+                        .map(|_| leaves[rng.gen_range(0..leaves.len())])
+                        .collect()
+                })
+                .collect();
+            (tax, TransactionDb::new(rows).unwrap())
+        };
+        for (tax, db) in [
+            fixture((2, 2, 2), 100, (3, 4), 7),
+            fixture((3, 4, 3), 400, (1, 3), 8),
+        ] {
+            let view = MultiLevelView::build(&db, &tax);
+            for h in 1..=tax.height() {
+                let nodes = tax.nodes_at_level(h).unwrap();
+                let mut cands = Vec::new();
+                for i in 0..nodes.len() {
+                    for j in (i + 1)..nodes.len().min(i + 12) {
+                        cands.push(Itemset::pair(nodes[i], nodes[j]));
+                    }
+                }
+                let expect = naive_tidset_counts(&view, h, &cands);
+                for engine in CountingEngine::ALL {
+                    let mut c = engine.make(&view);
+                    assert_eq!(c.count_batch(h, &cands), expect, "{engine:?} level {h}");
+                    assert_eq!(c.stats().candidates_counted, cands.len() as u64);
+                }
+            }
+        }
     }
 
     /// Random DBs over a uniform taxonomy: engines must agree with the

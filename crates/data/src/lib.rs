@@ -12,9 +12,9 @@
 //! * [`TransactionDb`] — validated, canonicalized transactions over leaves;
 //! * [`MultiLevelView`] — the database projected to every abstraction level,
 //!   with per-item supports and tid-lists;
-//! * [`SupportCounter`] — batch support oracles: vertical
-//!   [`TidsetCounter`], scan-based [`ScanCounter`], hybrid [`BitsetCounter`]
-//!   and the density-driven per-level [`AutoCounter`];
+//! * [`SupportCounter`] — batch support oracles: the default hybrid
+//!   [`BitsetCounter`] (per-item bitmap promotion), vertical
+//!   [`TidsetCounter`] and scan-based [`ScanCounter`];
 //! * [`mod@exec`] — dependency-free scoped-thread sharding;
 //!   [`SupportCounter::count_batch_sharded`] counts a batch over a worker
 //!   pool with bit-identical counts and stats at every thread count;
@@ -41,7 +41,6 @@
 //! assert_eq!(sup, vec![1]);
 //! ```
 
-pub mod auto;
 pub mod bitset;
 pub mod cache;
 mod counting;
@@ -56,7 +55,6 @@ pub mod stats;
 pub mod tidset;
 mod transaction;
 
-pub use auto::AutoCounter;
 pub use bitset::{Bitmap, BitsetCounter};
 pub use cache::{
     CacheStats, CachedPrefix, CellCache, PrefixCache, SupportCache, DEFAULT_CACHE_BUDGET,

@@ -81,7 +81,6 @@ fn cached_counting_matches_naive_across_engines_threads_budgets() {
     for engine in [
         CountingEngine::Tidset,
         CountingEngine::Bitset,
-        CountingEngine::Auto,
         CountingEngine::Scan,
     ] {
         for threads in [1usize, 2, 7] {
@@ -109,11 +108,7 @@ fn counter_stats_are_cache_and_thread_invariant() {
     let view = MultiLevelView::build(&db, &tax);
     let h = tax.height();
     let batches = chained_batches(&view, h);
-    for engine in [
-        CountingEngine::Tidset,
-        CountingEngine::Bitset,
-        CountingEngine::Auto,
-    ] {
+    for engine in [CountingEngine::Tidset, CountingEngine::Bitset] {
         let mut base = engine.make(&view);
         for batch in &batches {
             base.count_batch_sharded(h, batch, 1);
@@ -154,11 +149,7 @@ fn results_v1_bytes_identical_across_budgets_engines_threads() {
     let base = quest_config();
     let mut reference: Option<Vec<u8>> = None;
     for budget in [0usize, 2048, usize::MAX] {
-        for engine in [
-            CountingEngine::Tidset,
-            CountingEngine::Bitset,
-            CountingEngine::Auto,
-        ] {
+        for engine in [CountingEngine::Tidset, CountingEngine::Bitset] {
             for threads in [1usize, 4] {
                 for repeat in 0..2 {
                     let cfg = base

@@ -151,9 +151,9 @@ fn equivalence_randomized() {
     }
 }
 
-/// Execution-layer differential sweep: `Auto`, `Tidset`, `Bitset` and
-/// `Scan`, each at 1 and 4 worker threads, must produce `MiningResult`s
-/// identical to the sequential tidset baseline — same patterns, same
+/// Execution-layer differential sweep: `Tidset`, `Bitset` and `Scan`,
+/// each at 1 and 4 worker threads, must produce `MiningResult`s
+/// identical to the sequential default-engine baseline — same patterns, same
 /// per-cell summaries, same run statistics — on both sparse and dense
 /// seeded datasets. Engine-independent counters must match exactly; the
 /// counting-engine stats themselves must additionally be thread-invariant
@@ -175,9 +175,8 @@ fn equivalence_engines_and_threads() {
             Thresholds::new(0.5, 0.25),
             MinSupports::Counts(vec![4, 2, 1]),
         );
-        let baseline = mine(tax, &db, &cfg); // sequential tidset
+        let baseline = mine(tax, &db, &cfg); // sequential, default engine
         for engine in [
-            CountingEngine::Auto,
             CountingEngine::Tidset,
             CountingEngine::Bitset,
             CountingEngine::Scan,

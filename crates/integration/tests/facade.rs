@@ -70,11 +70,7 @@ fn session_equals_single_shot_paths() {
         let session = Session::open(&ds).unwrap();
         let view = MultiLevelView::build(&ds.db, &ds.taxonomy);
         for pruning in PruningConfig::VARIANTS {
-            for engine in [
-                CountingEngine::Tidset,
-                CountingEngine::Bitset,
-                CountingEngine::Auto,
-            ] {
+            for engine in [CountingEngine::Tidset, CountingEngine::Bitset] {
                 for threads in [1usize, 4] {
                     let cfg = base
                         .clone()
@@ -125,7 +121,7 @@ fn sweep_points_equal_solo_runs() {
                 .sweep()
                 .with_jobs(jobs)
                 .pruning_variants(&base)
-                .engine_threads(&base, &[CountingEngine::Auto], &[1, 2])
+                .engine_threads(&base, &[CountingEngine::Bitset], &[1, 2])
                 .run()
                 .unwrap();
             assert_eq!(runs.len(), 6);

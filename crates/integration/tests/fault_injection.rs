@@ -194,7 +194,7 @@ fn exec_chunk_faults_surface_typed_across_engines_and_threads() {
         .expect("open planted session");
     let token = CancelToken::new();
     let mut fired_somewhere = false;
-    for engine in CountingEngine::CONCRETE {
+    for engine in CountingEngine::ALL {
         for threads in THREADS {
             let config = cfg(engine, threads);
             let label = format!("site=exec.chunk engine={} threads={threads}", engine.name());
@@ -259,7 +259,7 @@ fn inert_guard_is_byte_invisible() {
     let bytes = fbin_bytes();
     let token = CancelToken::new();
     for threads in THREADS {
-        let config = cfg(CountingEngine::Auto, threads);
+        let config = cfg(CountingEngine::Bitset, threads);
 
         // Plain path: strict read, unguarded mine.
         let (tax, view) = read_strict(&bytes, threads).expect("strict read");

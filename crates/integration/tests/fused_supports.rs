@@ -138,11 +138,7 @@ fn fused_supports_match_naive_counts_everywhere() {
             }
         }
         for pruning in PruningConfig::VARIANTS {
-            for engine in [
-                CountingEngine::Tidset,
-                CountingEngine::Bitset,
-                CountingEngine::Auto,
-            ] {
+            for engine in [CountingEngine::Tidset, CountingEngine::Bitset] {
                 for threads in [1usize, 2] {
                     let cfg = base
                         .clone()

@@ -52,10 +52,7 @@ fn results_bytes(session: &Session, cfg: &FlipperConfig) -> Vec<u8> {
 fn results_bytes_identical_with_tracing_on_and_off() {
     let _guard = recorder_lock();
     let session = planted_session();
-    let engines = CountingEngine::CONCRETE
-        .into_iter()
-        .chain([CountingEngine::Auto]);
-    for engine in engines {
+    for engine in CountingEngine::ALL {
         for threads in [1usize, 4] {
             let cfg = config(engine, threads);
             flipper_obs::disable();

@@ -99,7 +99,6 @@ fn grouped_counting_is_bit_identical_to_naive() {
                         CountingEngine::Tidset,
                         CountingEngine::Bitset,
                         CountingEngine::Scan,
-                        CountingEngine::Auto,
                     ] {
                         let mut seq = engine.make(&view);
                         let counts = seq.count_batch(h, &batch);
@@ -138,7 +137,6 @@ fn mining_results_invariant_across_engines_and_threads() {
                 CountingEngine::Tidset,
                 CountingEngine::Bitset,
                 CountingEngine::Scan,
-                CountingEngine::Auto,
             ] {
                 let mut per_engine_stats = None;
                 for threads in [1usize, 2, 4, 7] {

@@ -43,7 +43,8 @@ pub mod trace;
 
 pub use metrics::{Histogram, MetricsRegistry, HIST_BUCKETS};
 pub use recorder::{
-    counter_add, disable, drain, enable, enabled, gauge_set, observe, Capture, PhaseRow,
+    counter_add, disable, drain, enable, enabled, gauge_set, observe, Capture, LaneSummary,
+    PhaseRow,
 };
 pub use span::{event, shard_span, span, span_labeled, stamp, with_shard, Span, SpanEvent};
 pub use trace::{
@@ -203,6 +204,53 @@ mod tests {
         assert_eq!(rows.len(), 2);
         let a = rows.iter().find(|r| r.name == "phase.a").unwrap();
         assert_eq!(a.calls, 3);
+    }
+
+    /// Shard spans overlap across lanes, so they go to the lane summary
+    /// and never into the phase table; skew is taken within the batch (one
+    /// spawn stamp) that holds the longest shard.
+    #[test]
+    fn shards_summarize_off_the_phase_table() {
+        let ev = |name: &'static str, start_ns: u64, dur_ns: u64, queue_ns: Option<u64>| {
+            crate::SpanEvent {
+                name,
+                label: None,
+                lane: 0,
+                start_ns,
+                dur_ns,
+                args: queue_ns.map(|q| ("queue_ns", q)).into_iter().collect(),
+            }
+        };
+        let capture = crate::Capture {
+            events: vec![
+                ev("mine.count", 0, 1000, None),
+                // Batch spawned at 100: shards of 90, 30 and 40 ns.
+                ev("exec.shard", 100, 90, Some(0)),
+                ev("exec.shard", 105, 30, Some(5)),
+                ev("exec.shard", 110, 40, Some(10)),
+                // Batch spawned at 500: two short shards.
+                ev("exec.shard", 500, 10, Some(0)),
+                ev("exec.shard", 501, 12, Some(1)),
+                // An inline shard: a batch of its own.
+                ev("exec.shard", 700, 50, None),
+            ],
+            metrics: Default::default(),
+        };
+        let rows = capture.phase_rows();
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0].name, "mine.count");
+        let lanes = capture.lanes();
+        assert_eq!(
+            lanes,
+            crate::LaneSummary {
+                shards: 6,
+                busy_ns: 232,
+                max_ns: 90,
+                median_ns: 40,
+            }
+        );
+        assert_eq!(lanes.skew(), 2.25);
+        assert_eq!(crate::Capture::default().lanes().skew(), 1.0);
     }
 
     #[test]

@@ -112,13 +112,43 @@ pub struct Capture {
 /// total duration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhaseRow {
-    /// Event name (`mine.count`, `exec.shard`, …).
+    /// Event name (`mine.count`, `view.build`, …).
     pub name: String,
     /// Number of events with this name.
     pub calls: u64,
     /// Summed duration in nanoseconds.
     pub total_ns: u64,
 }
+
+/// The worker-lane summary of a capture's `exec.shard` spans. Shards of
+/// one batch run at the same time on different lanes, so their summed
+/// duration is busy time, which can exceed the run's wall time.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LaneSummary {
+    /// Number of `exec.shard` spans.
+    pub shards: u64,
+    /// Summed shard duration across all lanes, in nanoseconds.
+    pub busy_ns: u64,
+    /// Longest shard of the run, in nanoseconds.
+    pub max_ns: u64,
+    /// Median shard of the batch that holds the longest shard, in
+    /// nanoseconds: that batch is the one whose imbalance cost the most.
+    pub median_ns: u64,
+}
+
+impl LaneSummary {
+    /// Longest over median shard time; 1.0 when there are no shards.
+    pub fn skew(&self) -> f64 {
+        if self.median_ns == 0 {
+            1.0
+        } else {
+            self.max_ns as f64 / self.median_ns as f64
+        }
+    }
+}
+
+/// Span name of one exec-pool chunk; see [`crate::shard_span`].
+const SHARD_SPAN: &str = "exec.shard";
 
 impl Capture {
     /// Render the capture as `flipper-trace/v1` Chrome trace-event JSON.
@@ -132,10 +162,12 @@ impl Capture {
     }
 
     /// Aggregate events by name into per-phase totals, longest first
-    /// (ties broken by name so the order is reproducible).
+    /// (ties broken by name so the order is reproducible). `exec.shard`
+    /// spans are left out: they overlap across worker lanes, so their sum
+    /// is not a phase of the run (see [`Capture::lanes`]).
     pub fn phase_rows(&self) -> Vec<PhaseRow> {
         let mut by_name: BTreeMap<&'static str, (u64, u64)> = BTreeMap::new();
-        for ev in &self.events {
+        for ev in self.events.iter().filter(|e| e.name != SHARD_SPAN) {
             let slot = by_name.entry(ev.name).or_insert((0, 0));
             slot.0 += 1;
             slot.1 += ev.dur_ns;
@@ -150,6 +182,39 @@ impl Capture {
             .collect();
         rows.sort_by(|a, b| b.total_ns.cmp(&a.total_ns).then(a.name.cmp(&b.name)));
         rows
+    }
+
+    /// Summarize the `exec.shard` spans: count, busy time, and the longest
+    /// shard against the median of its own batch. Shards of one pool call
+    /// share a spawn stamp (`start − queue_ns`); a shard without `queue_ns`
+    /// ran inline and is a batch of its own.
+    pub fn lanes(&self) -> LaneSummary {
+        let mut batches: BTreeMap<(u64, u64), Vec<u64>> = BTreeMap::new();
+        let mut summary = LaneSummary::default();
+        for ev in self.events.iter().filter(|e| e.name == SHARD_SPAN) {
+            let queue = ev.args.iter().find(|(k, _)| *k == "queue_ns");
+            let key = match queue {
+                Some(&(_, q)) => (ev.start_ns.saturating_sub(q), u64::MAX),
+                None => (ev.start_ns, u64::from(ev.lane)),
+            };
+            batches.entry(key).or_default().push(ev.dur_ns);
+            summary.shards += 1;
+            summary.busy_ns += ev.dur_ns;
+        }
+        for mut durs in batches.into_values() {
+            durs.sort_unstable();
+            let max = durs[durs.len() - 1];
+            if max > summary.max_ns {
+                let n = durs.len();
+                summary.max_ns = max;
+                summary.median_ns = if n % 2 == 1 {
+                    durs[n / 2]
+                } else {
+                    (durs[n / 2 - 1] + durs[n / 2]) / 2
+                };
+            }
+        }
+        summary
     }
 }
 

@@ -24,6 +24,10 @@
 #     --trace` on a planted dataset must emit a `flipper-trace/v1` document
 #     that parses, nests per lane and covers the pipeline's span names
 #     (checked by the flipper-obs `validate_trace` example),
+#   * a default-engine byte-identity gate: a fixed-seed quest dataset
+#     mined under `full` and `basic` with the default engine and with
+#     `--engine tidset --threads 2` must give equivalent flipper-results/v1
+#     reports (`flipper results-diff` exits 0),
 #   * the fault-injection suite (crates/integration/tests/fault_injection.rs):
 #     seeded flipper-guard faults at every instrumented site across engines
 #     × threads must surface as typed errors or quarantine-flagged degraded
@@ -114,6 +118,23 @@ cargo run --release -q -p flipper-cli -- mine --input "$OBS_TMP/planted.fbin" \
 cargo run --release -q -p flipper-obs --example validate_trace -- \
     "$OBS_TMP/trace.json" \
     --expect session.ingest,view.build,mine.run,mine.cell,mine.count,cache.cell
+
+echo "== default engine: byte identity against the tid-list oracle (CLI)"
+# One quest dataset (fixed seed, N=20 000), mined under `full` and `basic`
+# with the default (hybrid bitset) engine at 1 thread and with `tidset` at
+# 2 threads; each pair of flipper-results/v1 reports must be equivalent.
+cargo run --release -q -p flipper-cli -- generate --kind quest --seed 11 \
+    --transactions 20000 --out "$OBS_TMP/quest.fbin" >/dev/null
+for variant in full basic; do
+    cargo run --release -q -p flipper-cli -- mine --input "$OBS_TMP/quest.fbin" \
+        --variant "$variant" --top 0 \
+        --output-json "$OBS_TMP/default-$variant.json" >/dev/null 2>&1
+    cargo run --release -q -p flipper-cli -- mine --input "$OBS_TMP/quest.fbin" \
+        --variant "$variant" --top 0 --engine tidset --threads 2 \
+        --output-json "$OBS_TMP/tidset-$variant.json" >/dev/null 2>&1
+    cargo run --release -q -p flipper-cli -- results-diff \
+        "$OBS_TMP/default-$variant.json" "$OBS_TMP/tidset-$variant.json"
+done
 
 echo "== robustness: fault-injection suite under --release"
 cargo test --release -q -p flipper-integration --test fault_injection
