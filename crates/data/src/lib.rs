@@ -11,7 +11,8 @@
 //! * [`Itemset`] — canonical sorted itemsets with Apriori joins;
 //! * [`TransactionDb`] — validated, canonicalized transactions over leaves;
 //! * [`MultiLevelView`] — the database projected to every abstraction level,
-//!   with per-item supports and tid-lists;
+//!   with per-item supports and tid-lists, stored as flat [`RowBatch`] rows
+//!   and counting-sorted tid-lists;
 //! * [`SupportCounter`] — batch support oracles: the default hybrid
 //!   [`BitsetCounter`] (per-item bitmap promotion), vertical
 //!   [`TidsetCounter`] and scan-based [`ScanCounter`];
@@ -64,5 +65,5 @@ pub use counting::{
     ScanCounter, SupportCounter, TidsetCounter, MIN_SHARD_CANDIDATES,
 };
 pub use itemset::Itemset;
-pub use projection::{LevelView, MultiLevelView, MultiLevelViewBuilder};
+pub use projection::{LevelView, MultiLevelView, MultiLevelViewBuilder, RowBatch};
 pub use transaction::{DataError, TransactionDb};

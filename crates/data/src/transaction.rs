@@ -109,12 +109,6 @@ impl TransactionDb {
         self.txns.iter().map(Vec::as_slice)
     }
 
-    /// All rows as a slice (crate-internal: lets the projection layer feed
-    /// the whole database through the chunk path without copying).
-    pub(crate) fn rows(&self) -> &[Vec<NodeId>] {
-        &self.txns
-    }
-
     /// Support of the itemset `items` (must be sorted ascending) by a full
     /// scan. This is the reference implementation the optimized counters are
     /// tested against.

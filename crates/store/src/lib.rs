@@ -129,16 +129,7 @@ pub fn stream_view<R: Read>(
     threads: usize,
 ) -> Result<(Taxonomy, MultiLevelView), StoreError> {
     let (taxonomy, mut chunks) = reader.into_parts();
-    let build_span = flipper_obs::span("view.build");
-    let mut builder = MultiLevelViewBuilder::new(&taxonomy, threads);
-    for chunk in chunks.by_ref() {
-        let span = flipper_obs::span("store.chunk");
-        let chunk = chunk?;
-        builder.push_chunk(&chunk)?;
-        drop(span.arg("rows", chunk.len() as u64));
-    }
-    let view = builder.finish()?;
-    drop(build_span.arg("rows", chunks.transactions_seen()));
+    let view = build_view(&taxonomy, &mut chunks, threads)?;
     Ok((taxonomy, view))
 }
 
@@ -155,18 +146,31 @@ pub fn salvage_view<R: Read>(
 ) -> Result<(Taxonomy, MultiLevelView, SalvageReport), StoreError> {
     let reader = FbinReader::salvage(r)?;
     let (taxonomy, mut chunks) = reader.into_parts();
+    let view = build_view(&taxonomy, &mut chunks, threads)?;
+    let report = chunks.into_salvage_report().unwrap_or_default();
+    Ok((taxonomy, view, report))
+}
+
+/// Drain `chunks` into a view under a `view.build` span. Each `store.chunk`
+/// span covers one chunk's decode and its push into the builder; the last
+/// one covers reading the end section.
+fn build_view<R: Read>(
+    taxonomy: &Taxonomy,
+    chunks: &mut ChunkReader<R>,
+    threads: usize,
+) -> Result<MultiLevelView, StoreError> {
     let build_span = flipper_obs::span("view.build");
-    let mut builder = MultiLevelViewBuilder::new(&taxonomy, threads);
-    for chunk in chunks.by_ref() {
+    let mut builder = MultiLevelViewBuilder::new(taxonomy, threads);
+    loop {
         let span = flipper_obs::span("store.chunk");
+        let Some(chunk) = chunks.next() else { break };
         let chunk = chunk?;
         builder.push_chunk(&chunk)?;
         drop(span.arg("rows", chunk.len() as u64));
     }
     let view = builder.finish()?;
     drop(build_span.arg("rows", chunks.transactions_seen()));
-    let report = chunks.into_salvage_report().unwrap_or_default();
-    Ok((taxonomy, view, report))
+    Ok(view)
 }
 
 /// Serialize a dataset to FBIN bytes in memory. Convenience for tests and
@@ -181,7 +185,7 @@ pub fn to_fbin_bytes(ds: &Dataset) -> Result<Vec<u8>, StoreError> {
 mod tests {
     use super::*;
     use flipper_data::format::{read_dataset, write_dataset};
-    use flipper_data::TransactionDb;
+    use flipper_data::{RowBatch, TransactionDb};
     use flipper_taxonomy::{NodeId, RebalancePolicy};
     use std::io::Cursor;
 
@@ -433,8 +437,9 @@ mod tests {
             .chunks()
             .collect::<Result<Vec<_>, _>>()
             .unwrap()
-            .into_iter()
-            .flatten()
+            .iter()
+            .flat_map(RowBatch::iter)
+            .map(<[NodeId]>::to_vec)
             .collect();
         let report = reader.into_parts().1.into_salvage_report().unwrap();
         assert!(!report.is_degraded(), "intact file: {}", report.summary());
@@ -470,8 +475,9 @@ mod tests {
             .chunks()
             .collect::<Result<Vec<_>, _>>()
             .unwrap()
-            .into_iter()
-            .flatten()
+            .iter()
+            .flat_map(RowBatch::iter)
+            .map(<[NodeId]>::to_vec)
             .collect();
         let report = reader.into_parts().1.into_salvage_report().unwrap();
         assert!(report.is_degraded());
@@ -508,8 +514,9 @@ mod tests {
             .chunks()
             .collect::<Result<Vec<_>, _>>()
             .unwrap()
-            .into_iter()
-            .flatten()
+            .iter()
+            .flat_map(RowBatch::iter)
+            .map(<[NodeId]>::to_vec)
             .collect();
         let report = reader.into_parts().1.into_salvage_report().unwrap();
         assert_eq!(report.chunks_kept, 1);
@@ -542,7 +549,7 @@ mod tests {
             let mut failed = false;
             for chunk in reader.chunks().by_ref() {
                 match chunk {
-                    Ok(c) => rows.extend(c),
+                    Ok(c) => rows.extend(c.iter().map(<[_]>::to_vec)),
                     Err(_) => failed = true,
                 }
             }
@@ -585,8 +592,9 @@ mod tests {
                     .chunks()
                     .collect::<Result<Vec<_>, _>>()
                     .unwrap()
-                    .into_iter()
-                    .flatten()
+                    .iter()
+                    .flat_map(RowBatch::iter)
+                    .map(<[NodeId]>::to_vec)
                     .collect();
                 let report = reader.into_parts().1.into_salvage_report().unwrap();
                 assert_eq!(report.quarantined.len(), 1, "{kind:?}");

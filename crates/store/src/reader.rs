@@ -24,7 +24,7 @@ use crate::error::StoreError;
 use crate::varint::PayloadCursor;
 use crate::{SectionTag, FBIN_MAGIC, FBIN_VERSION};
 use flipper_data::format::{deepest_copy, Dataset};
-use flipper_data::TransactionDb;
+use flipper_data::{RowBatch, TransactionDb};
 use flipper_guard::fault::SITE_STORE_READ;
 use flipper_guard::Fault;
 use flipper_taxonomy::{NodeId, RebalancePolicy, Taxonomy, TaxonomyBuilder};
@@ -120,10 +120,10 @@ impl<R: Read> FbinReader<R> {
     }
 
     /// Iterate over transaction chunks without materializing the database.
-    /// Each item is one chunk's transactions as leaf node ids of
-    /// [`FbinReader::taxonomy`] (per-transaction canonicalization — sorting,
-    /// deduplication — is left to the consumer, e.g.
-    /// [`TransactionDb::new`] or `MultiLevelViewBuilder`).
+    /// Each item is one chunk's transactions as a flat [`RowBatch`] of leaf
+    /// node ids of [`FbinReader::taxonomy`] (per-transaction
+    /// canonicalization — sorting, deduplication — is left to the consumer,
+    /// e.g. [`TransactionDb::new`] or `MultiLevelViewBuilder`).
     pub fn chunks(&mut self) -> &mut ChunkReader<R> {
         &mut self.chunks
     }
@@ -139,7 +139,7 @@ impl<R: Read> FbinReader<R> {
     pub fn read_dataset(mut self) -> Result<Dataset, StoreError> {
         let mut rows: Vec<Vec<NodeId>> = Vec::new();
         for chunk in self.chunks() {
-            rows.extend(chunk?);
+            rows.extend(chunk?.iter().map(<[NodeId]>::to_vec));
         }
         let db = TransactionDb::new(rows)?;
         db.validate_against(&self.taxonomy)?;
@@ -254,7 +254,7 @@ impl<R: Read> ChunkReader<R> {
         self.salvage
     }
 
-    fn next_chunk(&mut self) -> Option<Result<Vec<Vec<NodeId>>, StoreError>> {
+    fn next_chunk(&mut self) -> Option<Result<RowBatch, StoreError>> {
         match self.state {
             ChunkState::Reading => {}
             ChunkState::Done | ChunkState::Failed => return None,
@@ -272,7 +272,7 @@ impl<R: Read> ChunkReader<R> {
         }
     }
 
-    fn advance(&mut self) -> Result<Option<Vec<Vec<NodeId>>>, StoreError> {
+    fn advance(&mut self) -> Result<Option<RowBatch>, StoreError> {
         loop {
             let frame = match read_frame(&mut self.r, &mut self.offset) {
                 Ok(f) => f,
@@ -355,7 +355,7 @@ impl<R: Read> ChunkReader<R> {
     /// Verify the end-section totals and the absence of trailing data —
     /// fatally in strict mode, as report notes in salvage mode (where a
     /// totals shortfall explained by quarantined chunks is expected).
-    fn finish_end(&mut self, payload: &[u8]) -> Result<Option<Vec<Vec<NodeId>>>, StoreError> {
+    fn finish_end(&mut self, payload: &[u8]) -> Result<Option<RowBatch>, StoreError> {
         let mut c = PayloadCursor::new(payload, "end section");
         let parsed = c.read_varint().and_then(|total_txns| {
             let total_chunks = c.read_varint()?;
@@ -433,7 +433,7 @@ impl<R: Read> ChunkReader<R> {
 }
 
 impl<R: Read> Iterator for ChunkReader<R> {
-    type Item = Result<Vec<Vec<NodeId>>, StoreError>;
+    type Item = Result<RowBatch, StoreError>;
 
     fn next(&mut self) -> Option<Self::Item> {
         self.next_chunk()
@@ -611,13 +611,15 @@ fn decode_dict(
     Ok((taxonomy, node_of))
 }
 
-/// Decode one chunk payload into transactions of leaf node ids.
-fn decode_chunk(payload: &[u8], node_of: &[NodeId]) -> Result<Vec<Vec<NodeId>>, StoreError> {
+/// Decode one chunk payload into a flat batch of transactions of leaf node
+/// ids.
+fn decode_chunk(payload: &[u8], node_of: &[NodeId]) -> Result<RowBatch, StoreError> {
     let mut c = PayloadCursor::new(payload, "chunk");
     let txn_count = c.read_len()?;
-    // A transaction takes at least two payload bytes, so this reserve is
-    // bounded by the (already checksummed) payload size even if corrupt.
-    let mut rows: Vec<Vec<NodeId>> = Vec::with_capacity(txn_count.min(payload.len()));
+    // A transaction takes at least two payload bytes and an item at least
+    // one, so these reserves are bounded by the (already checksummed) payload
+    // size even if corrupt.
+    let mut rows = RowBatch::with_capacity(txn_count.min(payload.len()), payload.len());
     for t in 0..txn_count {
         let width = c.read_len()?;
         if width == 0 {
@@ -626,9 +628,8 @@ fn decode_chunk(payload: &[u8], node_of: &[NodeId]) -> Result<Vec<Vec<NodeId>>, 
                 message: format!("transaction {t} is empty"),
             });
         }
-        let mut row = Vec::with_capacity(width.min(c.remaining() + 1));
         let mut id = c.read_varint()?;
-        row.push(map_item(id, node_of)?);
+        rows.push_item(map_item(id, node_of)?);
         for _ in 1..width {
             let gap = c.read_varint()?;
             if gap == 0 {
@@ -641,9 +642,9 @@ fn decode_chunk(payload: &[u8], node_of: &[NodeId]) -> Result<Vec<Vec<NodeId>>, 
                 context: "chunk",
                 message: "item id overflows u64".to_string(),
             })?;
-            row.push(map_item(id, node_of)?);
+            rows.push_item(map_item(id, node_of)?);
         }
-        rows.push(row);
+        rows.end_row();
     }
     if !c.is_exhausted() {
         return Err(StoreError::Corrupt {

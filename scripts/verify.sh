@@ -24,6 +24,9 @@
 #     --trace` on a planted dataset must emit a `flipper-trace/v1` document
 #     that parses, nests per lane and covers the pipeline's span names
 #     (checked by the flipper-obs `validate_trace` example),
+#   * an ingest-path gate: a MEDLINE surrogate (scale 0.05) mined from its
+#     FBIN file and from its text conversion with the Table-4 thresholds
+#     must give equivalent flipper-results/v1 reports,
 #   * a default-engine byte-identity gate: a fixed-seed quest dataset
 #     mined under `full` and `basic` with the default engine and with
 #     `--engine tidset --threads 2` must give equivalent flipper-results/v1
@@ -117,7 +120,7 @@ cargo run --release -q -p flipper-cli -- mine --input "$OBS_TMP/planted.fbin" \
     --threads 2 --trace "$OBS_TMP/trace.json" --timings >/dev/null
 cargo run --release -q -p flipper-obs --example validate_trace -- \
     "$OBS_TMP/trace.json" \
-    --expect session.ingest,view.build,mine.run,mine.cell,mine.count,cache.cell
+    --expect session.ingest,view.build,store.chunk,mine.run,mine.cell,mine.count,cache.cell
 
 echo "== default engine: byte identity against the tid-list oracle (CLI)"
 # One quest dataset (fixed seed, N=20 000), mined under `full` and `basic`
@@ -135,6 +138,23 @@ for variant in full basic; do
     cargo run --release -q -p flipper-cli -- results-diff \
         "$OBS_TMP/default-$variant.json" "$OBS_TMP/tidset-$variant.json"
 done
+
+echo "== ingest paths: streamed FBIN vs parsed text on a MEDLINE surrogate (CLI)"
+# The MEDLINE surrogate at scale 0.05 (32 000 citations), generated as FBIN
+# and converted to text, mined with the Table-4 thresholds. The FBIN file
+# decodes flat chunks straight into the view builder; the text file goes
+# through a TransactionDb. Both flipper-results/v1 reports must be equivalent.
+cargo run --release -q -p flipper-cli -- generate --kind medline --scale 0.05 \
+    --format fbin --out "$OBS_TMP/medline.fbin" >/dev/null
+cargo run --release -q -p flipper-cli -- convert --input "$OBS_TMP/medline.fbin" \
+    --out "$OBS_TMP/medline.txt" --to text >/dev/null
+for format in fbin txt; do
+    cargo run --release -q -p flipper-cli -- mine --input "$OBS_TMP/medline.$format" \
+        --gamma 0.40 --epsilon 0.10 --minsup 0.001,0.0005,0.0001 --top 0 \
+        --output-json "$OBS_TMP/medline-$format.json" >/dev/null 2>&1
+done
+cargo run --release -q -p flipper-cli -- results-diff \
+    "$OBS_TMP/medline-fbin.json" "$OBS_TMP/medline-txt.json"
 
 echo "== robustness: fault-injection suite under --release"
 cargo test --release -q -p flipper-integration --test fault_injection
